@@ -31,7 +31,6 @@ from .errors import (
 )
 from .tensor import BatchTensor, Shape, impulse, pad_zeros, slice_region, split, stack
 from .windowing import (
-    CallCounter,
     ExpansionRecord,
     WindowSpec,
     chunk_domain,

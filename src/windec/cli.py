@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
 import time
@@ -26,6 +25,7 @@ from .errors import ConfigError, WindecError, WindowTooLarge
 from .generators import Dataset, generate_dataset, read_dataset, write_dataset
 from .models import (
     DiffusionStencil,
+    GlobalLinearModel,
     IdentityPredictor,
     MetricsRecord,
     UpwindStencil,
@@ -130,14 +130,14 @@ def _build_predictor(cfg: ExperimentConfig, ds: Dataset, w: WindowSpec | None,
     raise ConfigError(f"predictor.kind: unknown kind {kind!r}")
 
 
-def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor, w: WindowSpec | None,
-                    threads: int) -> list[tuple[int, MetricsRecord]]:
+def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor,
+                    w: WindowSpec | None) -> list[tuple[int, MetricsRecord]]:
     rows = []
     for t in pairs:
-        if hasattr(predictor, "predict_frame"):
+        if isinstance(predictor, GlobalLinearModel):
             pred = predictor.predict_frame(ds.frames[t])
         else:
-            pred = integrate_predictions(ds.frames[t], w, predictor, threads=threads)
+            pred = integrate_predictions(ds.frames[t], w, predictor)
         rows.append((t, metrics_record(pred, ds.frames[t + 1])))
     return rows
 
@@ -198,8 +198,8 @@ def cmd_eval(args) -> int:
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train_rows = _evaluate_pairs(ds, train_pairs, predictor, w, args.threads)
-    test_rows = _evaluate_pairs(ds, test_pairs, predictor, w, args.threads)
+    train_rows = _evaluate_pairs(ds, train_pairs, predictor, w)
+    test_rows = _evaluate_pairs(ds, test_pairs, predictor, w)
     timings["evaluate"] = time.perf_counter() - t0
 
     _write_metrics_csv(out / "metrics_train.csv", train_rows)
@@ -275,7 +275,7 @@ def cmd_sweep(args) -> int:
                 seed=cfg.seed,
                 pair_indices=train_pairs,
             )
-            test_rows = _evaluate_pairs(ds, test_pairs, stencil, w, args.threads)
+            test_rows = _evaluate_pairs(ds, test_pairs, stencil, w)
             rows.append((
                 wcells, freq,
                 statistics.fmean(m.r2 for _, m in test_rows),
@@ -418,10 +418,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--window", default=None,
                    help="override window sizes, comma separated (e.g. 5,5)")
-    default_threads = os.environ.get("DDELD_THREADS", "1")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads for offset sweeps "
-                        f"(default {default_threads}, from DDELD_THREADS)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,13 +466,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", None) is None:
-            try:
-                args.threads = int(os.environ.get("DDELD_THREADS", "1"))
-            except ValueError as exc:
-                raise ConfigError(f"DDELD_THREADS: {exc}") from exc
-        if args.threads < 1:
-            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .generators import Dataset, GridPde
 from .tensor import BatchTensor
-from .windowing import WindowSpec
+from .windowing import WindowSpec, window_view
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ STENCIL_VERSION = 1
 class Predictor(Protocol):
     """Contract for anything that predicts window centers."""
 
-    concurrency_safe: bool
     radius: tuple[int, ...]
 
     def predict_batch(self, windows: BatchTensor) -> BatchTensor: ...
@@ -65,7 +64,6 @@ class IdentityPredictor:
     """Returns the window center unchanged; dependence radius zero."""
 
     ndim: int
-    concurrency_safe: bool = True
 
     @property
     def radius(self) -> tuple[int, ...]:
@@ -84,8 +82,6 @@ class UpwindStencil:
     At whole-cell Courant numbers this reduces to an exact shifted lookup;
     for sub-cell Courant numbers it is the classic upwind update.
     """
-
-    concurrency_safe = True
 
     def __init__(self, pde: GridPde, window: WindowSpec):
         if pde.c is None:
@@ -131,8 +127,6 @@ class UpwindStencil:
 class DiffusionStencil:
     """One explicit central-difference diffusion update at the window center."""
 
-    concurrency_safe = True
-
     def __init__(self, pde: GridPde, window: WindowSpec):
         d = window.ndim
         self.lam = pde.alpha * pde.dt / pde.dx**2
@@ -175,7 +169,6 @@ class LearnedStencil:
     weights: np.ndarray
     bias: np.ndarray
     ridge_lambda: float
-    concurrency_safe: bool = True
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
@@ -214,7 +207,6 @@ class GlobalLinearModel:
     weights: np.ndarray
     bias: np.ndarray
     ridge_lambda: float
-    concurrency_safe: bool = True
 
     def predict_frame(self, frame: BatchTensor) -> BatchTensor:
         if frame.dims[1:] != self.dims[1:]:
@@ -300,12 +292,12 @@ def sample_training_pairs(
     n_features = w.cells * ds.grid.channels
     x = np.empty((sample_budget, n_features))
     y = np.empty((sample_budget, ds.grid.channels))
-    for s in range(sample_budget):
-        t, b = int(ts[s]), int(bs[s])
-        center = cells[s]
-        idx = (b, *(slice(c - r, c + r + 1) for c, r in zip(center, radius)), slice(None))
-        x[s] = ds.frames[t].data[idx].ravel()
-        y[s] = ds.frames[t + 1].data[(b, *center, slice(None))]
+    starts = cells - np.asarray(radius)  # the window of center c starts at c - r
+    for t in np.unique(ts):
+        take = ts == t
+        at = (bs[take], *starts[take].T)
+        x[take] = window_view(ds.frames[t].data, w.sizes)[at].reshape(-1, n_features)
+        y[take] = ds.frames[t + 1].data[(bs[take], *cells[take].T)]
     return x, y
 
 

@@ -5,8 +5,8 @@ contiguous float64 buffer laid out row-major with the batch axis slowest and
 the channel axis fastest, i.e. element ``(b, i_1..i_d, c)`` lives at flat
 index ``((..(b*N_1 + i_1)*N_2 + i_2 ..)*N_c + c)``.  All operations in this
 module are pure: they never mutate their inputs and always return fresh,
-contiguous copies, which keeps equality contracts exact and makes every
-function safe to call from concurrent threads.
+contiguous copies, which keeps equality contracts exact and lets callers
+share tensors without defensive copies.
 """
 
 from __future__ import annotations

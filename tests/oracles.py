@@ -2,7 +2,8 @@
 
 Everything here recomputes expected results through a different code path
 than the module under test: direct index arithmetic, scipy's interpolation
-and correlation routines, or explicit padded-array slicing.
+and correlation routines, explicit padded-array slicing, per-block
+split/stack decomposition, or one-sample-at-a-time loops.
 """
 
 import math
@@ -10,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import scipy.ndimage
+
+from windec import expand_domain, slice_region, split, stack
 
 
 def flat_index(dims, coords):
@@ -96,3 +99,58 @@ def expansion_formula(n, w):
     expanded = (math.floor((n - 1) / w) + 1) * w + (w - 1)
     blocks = math.floor(expanded / w)
     return expanded, blocks
+
+
+def split_stack_chunk(t, blocks):
+    """Window batch by d rounds of: split spatial axis i, stack onto the batch axis."""
+    for i, b in enumerate(blocks):
+        t = stack(split(t, b, axis=i + 1), 0)
+    return t
+
+
+def split_stack_patch(t, batch, blocks):
+    """Inverse of split_stack_chunk: peel block groups off the batch axis, last dim first."""
+    d = t.ndim
+    for i in range(d):
+        t = stack(split(t, blocks[d - 1 - i], axis=0), d - i)
+    return t
+
+
+def offset_sweep_integrate(t, w, predictor):
+    """Full-field prediction by sweeping every in-window decomposition offset.
+
+    For each offset p the expanded domain is sliced at p, chunked into
+    windows, predicted, patched back, and scattered onto the lattice of cells
+    p + j*W whose windows that offset centers.  Returns a plain array.
+    """
+    expanded, rec = expand_domain(t, w)
+    canvas = np.zeros((t.batch, *rec.step1, t.channels))
+    for p in brute_offsets(w.sizes):
+        windows = split_stack_chunk(slice_region(expanded, p, rec.step1), rec.blocks)
+        lattice = split_stack_patch(predictor.predict_batch(windows), t.batch, rec.blocks)
+        idx = (slice(None), *(slice(pi, None, wi) for pi, wi in zip(p, w.sizes)), slice(None))
+        canvas[idx] = lattice.data
+    return canvas[(slice(None), *(slice(0, n) for n in rec.original), slice(None))]
+
+
+def sample_pairs_loop(ds, w, sample_budget, seed, pair_indices=None):
+    """Training pairs gathered one sample at a time, drawing the RNG in the
+    library's order: frame pairs, batch items, then one center per dimension."""
+    pairs = np.arange(ds.n_steps) if pair_indices is None else np.asarray(pair_indices)
+    radius = w.radius
+    rng = np.random.default_rng(seed)
+    ts = rng.choice(pairs, size=sample_budget)
+    bs = rng.integers(0, ds.grid.batch, size=sample_budget)
+    cells = np.stack(
+        [rng.integers(r, n - r, size=sample_budget) for n, r in zip(ds.grid.spatial, radius)],
+        axis=1,
+    )
+    x = np.empty((sample_budget, w.cells * ds.grid.channels))
+    y = np.empty((sample_budget, ds.grid.channels))
+    for s in range(sample_budget):
+        t, b = int(ts[s]), int(bs[s])
+        center = cells[s]
+        idx = (b, *(slice(c - r, c + r + 1) for c, r in zip(center, radius)), slice(None))
+        x[s] = ds.frames[t].data[idx].ravel()
+        y[s] = ds.frames[t + 1].data[(b, *center, slice(None))]
+    return x, y

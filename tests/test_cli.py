@@ -140,15 +140,6 @@ def test_eval_auto_window_and_data_file(tmp_path):
     assert len(w) == 2 and all(v >= 3 and v % 2 == 1 for v in w)
 
 
-def test_eval_threads_do_not_change_output(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, {"predictor": {"kind": "stencil"}})
-    assert main(["eval", "--config", str(cfg), "--threads", "1"]) == 0
-    serial = (tmp_path / "out" / "metrics_test.csv").read_text()
-    monkeypatch.setenv("DDELD_THREADS", "3")
-    assert main(["eval", "--config", str(cfg)]) == 0
-    assert (tmp_path / "out" / "metrics_test.csv").read_text() == serial
-
-
 def test_eval_global_baseline_runs(tmp_path):
     cfg = write_config(tmp_path, {"predictor": {"kind": "global", "sample_budget": 64}})
     assert main(["eval", "--config", str(cfg)]) == 0

@@ -29,7 +29,7 @@ from windec import (
     rel_l2,
     sample_training_pairs,
 )
-from oracles import convolve_stencil_full, diffusion_full, upwind_full
+from oracles import convolve_stencil_full, diffusion_full, sample_pairs_loop, upwind_full
 
 
 def rand_windows(rng, m, sizes, channels=1):
@@ -213,6 +213,25 @@ def test_learned_stencil_integration_matches_full_convolution():
     out = integrate_predictions(t, w, st)
     expected = convolve_stencil_full(t.data, weights, bias, (3, 5))
     assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("sizes,extents,channels,pair_indices", [
+    ((5,), (40,), 1, None),
+    ((3, 5), (12, 15), 2, None),
+    ((5, 5), (20, 20), 1, [1, 3, 4]),
+    ((3, 3, 3), (6, 5, 7), 2, [0, 2]),
+])
+def test_sample_training_pairs_matches_per_sample_loop(sizes, extents, channels,
+                                                       pair_indices):
+    rng = np.random.default_rng(14)
+    frames = tuple(BatchTensor(rng.standard_normal((3, *extents, channels)))
+                   for _ in range(6))
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    w = WindowSpec(sizes)
+    x, y = sample_training_pairs(ds, w, 500, seed=5, pair_indices=pair_indices)
+    want_x, want_y = sample_pairs_loop(ds, w, 500, seed=5, pair_indices=pair_indices)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(y, want_y)
 
 
 def test_fit_deterministic():

@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from windec import (
     BatchTensor,
-    CallCounter,
+    DiffusionStencil,
     DivisibilityError,
     ExpansionRecord,
     GridPde,
     IdentityPredictor,
+    LearnedStencil,
     PredictorContractError,
     ProbeDomainTooSmall,
     RankError,
@@ -27,8 +28,17 @@ from windec import (
     window_offsets,
     window_patch,
 )
+from windec import windowing
 from windec.windowing import apply_dense_stencil
-from oracles import brute_offsets, chunk_batch_index, expansion_formula, gather_window, upwind_full
+from oracles import (
+    brute_offsets,
+    chunk_batch_index,
+    expansion_formula,
+    gather_window,
+    offset_sweep_integrate,
+    split_stack_chunk,
+    upwind_full,
+)
 
 
 def rand_tensor(rng, dims):
@@ -155,23 +165,9 @@ def chunkable(draw):
 @given(chunkable())
 def test_patch_of_chunk_round_trips_bit_exactly(case):
     t, blocks = case
-    assert window_patch(chunk_domain(t, blocks), t.batch, blocks).equals(t)
-
-
-def test_call_counter_linear_in_largest_block_count():
-    rng = np.random.default_rng(7)
-    counts = {}
-    for b_max in (4, 8, 16, 32):
-        blocks = (b_max, 2)
-        t = rand_tensor(rng, (1, 3 * b_max, 6, 1))
-        counter = CallCounter()
-        window_patch(chunk_domain(t, blocks, counter), 1, blocks, counter)
-        # each of the two rounds per algorithm moves every block twice
-        assert counter.blocks_moved == 4 * (b_max + 2)
-        assert counter.split_calls == counter.stack_calls == 4
-        counts[b_max] = counter.blocks_moved
-    growth = [counts[2 * b] / counts[b] for b in (4, 8, 16)]
-    assert all(1.5 < g <= 2.0 for g in growth)
+    chunked = chunk_domain(t, blocks)
+    assert chunked.equals(split_stack_chunk(t, blocks))
+    assert window_patch(chunked, t.batch, blocks).equals(t)
 
 
 # --- window_offsets -----------------------------------------------------------
@@ -215,29 +211,6 @@ def test_integrate_write_coverage_is_a_partition(sizes, extents):
     assert np.all(counts[original] == 1)
 
 
-def test_integrate_offset_order_is_irrelevant():
-    rng = np.random.default_rng(9)
-    t = rand_tensor(rng, (1, 8, 6, 1))
-    w = WindowSpec((3, 3))
-    pde = GridPde(dx=1.0, dt=1.0, c=(0.7, -0.3))
-    pred = UpwindStencil(pde, w)
-    base = integrate_predictions(t, w, pred)
-    offs = window_offsets(w)
-    shuffled = [offs[i] for i in rng.permutation(len(offs))]
-    again = integrate_predictions(t, w, pred, offsets=shuffled)
-    assert again.equals(base)
-
-
-def test_integrate_threads_match_serial():
-    rng = np.random.default_rng(10)
-    t = rand_tensor(rng, (2, 9, 9, 1))
-    w = WindowSpec((3, 3))
-    pred = UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(1.0, 0.4)), w)
-    serial = integrate_predictions(t, w, pred, threads=1)
-    threaded = integrate_predictions(t, w, pred, threads=4)
-    assert threaded.equals(serial)
-
-
 def test_integrate_matches_full_domain_upwind():
     rng = np.random.default_rng(11)
     t = rand_tensor(rng, (2, 12, 10, 1))
@@ -251,7 +224,6 @@ def test_integrate_matches_full_domain_upwind():
 
 def test_integrate_rejects_bad_predictor_output():
     class Wrong:
-        concurrency_safe = False
         radius = (0, 0)
 
         def predict_batch(self, windows):
@@ -260,6 +232,78 @@ def test_integrate_rejects_bad_predictor_output():
     t = BatchTensor(np.zeros((1, 9, 9, 1)))
     with pytest.raises(PredictorContractError):
         integrate_predictions(t, WindowSpec((3, 3)), Wrong())
+
+
+def test_integrate_rejects_non_finite_predictor_output():
+    class NaNAtOneCell:
+        radius = (0, 0)
+
+        def predict_batch(self, windows):
+            out = np.zeros((windows.batch, 1, 1, windows.channels))
+            out[-1, 0, 0, 0] = np.nan
+            return BatchTensor(out)
+
+    t = BatchTensor(np.zeros((1, 9, 9, 1)))
+    with pytest.raises(PredictorContractError):
+        integrate_predictions(t, WindowSpec((3, 3)), NaNAtOneCell())
+
+
+def test_integrate_hands_predictor_private_read_only_windows(monkeypatch):
+    seen = []
+
+    class Recorder:
+        radius = (0, 0)
+
+        def predict_batch(self, windows):
+            seen.append(windows.data)
+            return IdentityPredictor(2).predict_batch(windows)
+
+    monkeypatch.setattr(windowing, "TILE_BYTES", 8 * 9 * 20)
+    t = rand_tensor(np.random.default_rng(12), (2, 9, 7, 1))
+    assert integrate_predictions(t, WindowSpec((3, 3)), Recorder()).equals(t)
+    assert len(seen) == 2 * 5  # 20 cells per tile: 9 rows of 7 in runs of 2
+    for data in seen:
+        assert not data.flags.writeable
+        assert not np.shares_memory(data, t.data)
+
+
+def _oracle_predictor(kind, w, channels, rng):
+    d = w.ndim
+    if kind == "identity":
+        return IdentityPredictor(d)
+    if kind == "upwind":
+        return UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.7, -0.4, 0.25)[:d]), w)
+    if kind == "diffusion":
+        return DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.9 / (2 * d)), w)
+    weights = rng.standard_normal((w.cells * channels, channels))
+    return LearnedStencil(w, weights, rng.standard_normal(channels), 0.0)
+
+
+@pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])
+@pytest.mark.parametrize("sizes,extents,channels", [
+    ((3,), (10,), 1),
+    ((5,), (13,), 2),
+    ((3, 5), (7, 11), 1),
+    ((5, 3), (9, 8), 2),
+    ((3, 3, 3), (5, 4, 7), 2),
+])
+# None: one tile per batch item; 23: runs of whole rows (2-D) or row pieces
+# (3-D) with a ragged last tile; 5 and 1: rows cut down to single cells
+@pytest.mark.parametrize("tile_cells", [None, 23, 5, 1])
+def test_integrate_matches_offset_sweep_oracle(monkeypatch, kind, sizes, extents,
+                                               channels, tile_cells):
+    w = WindowSpec(sizes)
+    if tile_cells is not None:
+        monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * w.cells * channels * 8)
+    rng = np.random.default_rng(13)
+    t = rand_tensor(rng, (2, *extents, channels))
+    pred = _oracle_predictor(kind, w, channels, rng)
+    got = integrate_predictions(t, w, pred).data
+    want = offset_sweep_integrate(t, w, pred)
+    if kind == "learned":
+        assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        assert np.array_equal(got, want)
 
 
 # --- receptive field probe ----------------------------------------------------

@@ -82,4 +82,4 @@ from .models import (
     sample_training_pairs,
     write_stencil,
 )
-from .config import DatasetConfig, ExperimentConfig, IcConfig, PredictorConfig, load_config
+from .config import DatasetConfig, ExperimentConfig, PredictorConfig, load_config

@@ -14,15 +14,28 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, IcConfig, load_config
+from .config import (
+    DatasetConfig,
+    ExperimentConfig,
+    load_config,
+    parse_number_list,
+    window_size,
+)
 from .errors import ConfigError, WindecError, WindowTooLarge
-from .generators import Dataset, generate_dataset, read_dataset, write_dataset
+from .generators import (
+    Dataset,
+    GridPde,
+    InitialCondition,
+    generate_dataset,
+    read_dataset,
+    write_dataset,
+)
 from .models import (
     DiffusionStencil,
     GlobalLinearModel,
@@ -33,7 +46,7 @@ from .models import (
     fit_stencil,
     metrics_record,
 )
-from .sizing import recommend_window
+from .sizing import SizingReport, recommend_window
 from .tensor import BatchTensor, Shape
 from .windowing import (
     WindowSpec,
@@ -46,28 +59,22 @@ from .windowing import (
 _CHAR_LENGTH_KIND = {"advection": "advection", "heat": "diffusion", "burgers": "burgers"}
 
 
-@dataclass
-class RunRecord:
-    """Everything needed to reproduce and audit one eval run."""
-
-    tool_version: str
-    seed: int
-    config: dict
-    window: list[int] | None
-    train: list[dict] = field(default_factory=list)
-    test: list[dict] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
-
-
 def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write_metrics_csv(path: Path, rows: list[tuple[int, MetricsRecord]]) -> None:
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; floats in round-trip precision, anything else as ``str``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame,rel_l2,paper_l2,r2\n")
-        for frame, m in rows:
-            fh.write(f"{frame},{_fmt(m.rel_l2)},{_fmt(m.paper_l2)},{_fmt(m.r2)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _generate(dc: DatasetConfig) -> Dataset:
+    pde = GridPde(dx=dc.dx, dt=dc.dt, c=dc.c, nu=dc.nu, alpha=dc.alpha, boundary=dc.boundary)
+    return generate_dataset(dc.kind, Shape(dc.batch, dc.extents, dc.channels), pde, dc.ic,
+                            dc.n_steps, dc.seed)
 
 
 def _split_pairs(n_pairs: int, fraction: float, seed: int) -> tuple[list[int], list[int]]:
@@ -83,6 +90,15 @@ def _probe_line(ds: Dataset) -> np.ndarray:
     return ds.frames[0].data[idx]
 
 
+def _sizing_report(ds: Dataset) -> SizingReport:
+    u_max = None
+    if ds.kind == "burgers":
+        u_max = float(np.max(np.abs(ds.frames[0].data)))
+    return recommend_window(
+        ds.pde, kind=_CHAR_LENGTH_KIND[ds.kind], probe=_probe_line(ds), u_max=u_max
+    )
+
+
 def _resolve_window(cfg: ExperimentConfig, ds: Dataset) -> WindowSpec:
     if isinstance(cfg.window, tuple):
         if len(cfg.window) != ds.grid.ndim:
@@ -90,44 +106,24 @@ def _resolve_window(cfg: ExperimentConfig, ds: Dataset) -> WindowSpec:
                 f"window: rank {len(cfg.window)} does not match grid rank {ds.grid.ndim}"
             )
         return WindowSpec(cfg.window)
-    u_max = None
-    if ds.kind == "burgers":
-        u_max = float(np.max(np.abs(ds.frames[0].data)))
-    report = recommend_window(
-        ds.pde,
-        kind=_CHAR_LENGTH_KIND[ds.kind],
-        probe=_probe_line(ds),
-        u_max=u_max,
-    )
-    return WindowSpec.cube(report.recommended_cells, ds.grid.ndim)
+    return WindowSpec.cube(_sizing_report(ds).recommended_cells, ds.grid.ndim)
 
 
-def _build_predictor(cfg: ExperimentConfig, ds: Dataset, w: WindowSpec | None,
+def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpec | None,
                      train_pairs: list[int]):
-    kind = cfg.predictor.kind
     if kind == "identity":
         return IdentityPredictor(ds.grid.ndim)
     if kind == "upwind":
         return UpwindStencil(ds.pde, w)
     if kind == "diffusion":
         return DiffusionStencil(ds.pde, w)
+    fit = dict(ridge_lambda=cfg.predictor.ridge_lambda,
+               sample_budget=cfg.predictor.sample_budget,
+               seed=cfg.seed,
+               pair_indices=train_pairs)
     if kind == "stencil":
-        return fit_stencil(
-            ds, w,
-            ridge_lambda=cfg.predictor.ridge_lambda,
-            sample_budget=cfg.predictor.sample_budget,
-            seed=cfg.seed,
-            pair_indices=train_pairs,
-        )
-    if kind == "global":
-        return fit_global_linear(
-            ds,
-            ridge_lambda=cfg.predictor.ridge_lambda,
-            sample_budget=cfg.predictor.sample_budget,
-            seed=cfg.seed,
-            pair_indices=train_pairs,
-        )
-    raise ConfigError(f"predictor.kind: unknown kind {kind!r}")
+        return fit_stencil(ds, w, **fit)
+    return fit_global_linear(ds, **fit)
 
 
 def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor,
@@ -142,15 +138,10 @@ def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor,
     return rows
 
 
-def _dataset_from_config(cfg: ExperimentConfig) -> Dataset:
-    dc = cfg.dataset
-    return generate_dataset(dc.kind, dc.grid(), dc.pde(), dc.ic.build(),
-                            dc.n_steps, dc.seed)
-
-
 def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
-    # expansion always succeeds, but a window so large that one block swallows
-    # the whole padded grid and then some is almost certainly a config slip
+    # prediction pads each side by the window radius, so any size would run,
+    # but a window more than twice the grid extent is almost certainly a
+    # config slip
     for wi, n in zip(w.sizes, grid.spatial):
         if wi > 2 * n + 1:
             raise WindowTooLarge(f"window {wi} exceeds twice the grid extent {n}")
@@ -163,7 +154,7 @@ def cmd_gen(args) -> int:
     cfg = _load_effective_config(args)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = _dataset_from_config(cfg)
+    ds = _generate(cfg.dataset)
     path = out / "dataset.ddld"
     write_dataset(path, ds)
     g = ds.grid
@@ -182,7 +173,7 @@ def cmd_eval(args) -> int:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    ds = read_dataset(args.data) if args.data else _dataset_from_config(cfg)
+    ds = read_dataset(args.data) if args.data else _generate(cfg.dataset)
     timings["dataset"] = time.perf_counter() - t0
     if ds.n_steps < 1:
         raise WindecError("evaluation needs at least 2 frames")
@@ -194,7 +185,7 @@ def cmd_eval(args) -> int:
         _check_window_fits(w, ds.grid)
 
     t0 = time.perf_counter()
-    predictor = _build_predictor(cfg, ds, w, train_pairs)
+    predictor = _build_predictor(cfg.predictor.kind, cfg, ds, w, train_pairs)
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -202,19 +193,20 @@ def cmd_eval(args) -> int:
     test_rows = _evaluate_pairs(ds, test_pairs, predictor, w)
     timings["evaluate"] = time.perf_counter() - t0
 
-    _write_metrics_csv(out / "metrics_train.csv", train_rows)
-    _write_metrics_csv(out / "metrics_test.csv", test_rows)
-    record = RunRecord(
-        tool_version=__version__,
-        seed=cfg.seed,
-        config=cfg.snapshot(),
-        window=list(w.sizes) if w is not None else None,
-        train=[{"frame": t, **asdict(m)} for t, m in train_rows],
-        test=[{"frame": t, **asdict(m)} for t, m in test_rows],
-        timings=timings,
-    )
+    for name, rows in (("train", train_rows), ("test", test_rows)):
+        _write_csv(out / f"metrics_{name}.csv", "frame,rel_l2,paper_l2,r2",
+                   [(t, m.rel_l2, m.paper_l2, m.r2) for t, m in rows])
+    record = {
+        "tool_version": __version__,
+        "seed": cfg.seed,
+        "config": cfg.snapshot(),
+        "window": list(w.sizes) if w is not None else None,
+        "train": [{"frame": t, **asdict(m)} for t, m in train_rows],
+        "test": [{"frame": t, **asdict(m)} for t, m in test_rows],
+        "timings": timings,
+    }
     with open(out / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(record), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     mean_rel = statistics.fmean(m.rel_l2 for _, m in test_rows) if test_rows else float("nan")
     mean_r2 = statistics.fmean(m.r2 for _, m in test_rows) if test_rows else float("nan")
@@ -224,57 +216,37 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_number_list(text: str, where: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if not values:
-        raise ConfigError(f"{where}: empty list")
-    return values
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
     if cfg.dataset.kind != "advection":
         raise ConfigError("sweep: dataset.kind must be advection")
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     windows, freqs = [], []
-    for v in (int(x) for x in _parse_number_list(args.windows, "--windows")):
+    for i, v in enumerate(parse_number_list(args.windows, "--windows")):
+        v = window_size(v, f"--windows[{i}]")
         if v not in windows:
             windows.append(v)
-    for v in _parse_number_list(args.freqs, "--freqs"):
+    for v in map(float, parse_number_list(args.freqs, "--freqs")):
         if v not in freqs:
             freqs.append(v)
     if len(windows) < 2 or len(freqs) < 2:
         raise ConfigError("sweep needs at least 2 windows and 2 frequencies")
-    for wcells in windows:
-        if wcells < 3 or wcells % 2 == 0:
-            raise ConfigError(f"--windows: sizes must be odd and >= 3, got {wcells}")
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     d = len(cfg.dataset.extents)
     rows = []
     for fi, freq in enumerate(freqs):
         base = cfg.dataset
         if base.ic.kind == "harmonics":
-            ic = IcConfig(kind="harmonics", bandwidth=freq, base_freq=base.ic.base_freq,
-                          envelope_sigma=base.ic.envelope_sigma)
+            ic = InitialCondition("harmonics", bandwidth=freq, base_freq=base.ic.base_freq,
+                                  envelope_sigma=base.ic.envelope_sigma)
         else:
-            ic = IcConfig(kind="sine", freq=freq)
-        dc = replace(base, ic=ic, seed=base.seed + 1000 * fi)
-        ds = generate_dataset(dc.kind, dc.grid(), dc.pde(), ic.build(),
-                              dc.n_steps, dc.seed)
+            ic = InitialCondition("sine", freq=freq)
+        ds = _generate(replace(base, ic=ic, seed=base.seed + 1000 * fi))
         train_pairs, test_pairs = _split_pairs(ds.n_steps, cfg.split_fraction, cfg.seed)
         for wcells in windows:
             w = WindowSpec.cube(wcells, d)
-            stencil = fit_stencil(
-                ds, w,
-                ridge_lambda=cfg.predictor.ridge_lambda,
-                sample_budget=cfg.predictor.sample_budget,
-                seed=cfg.seed,
-                pair_indices=train_pairs,
-            )
+            stencil = _build_predictor("stencil", cfg, ds, w, train_pairs)
             test_rows = _evaluate_pairs(ds, test_pairs, stencil, w)
             rows.append((
                 wcells, freq,
@@ -284,10 +256,7 @@ def cmd_sweep(args) -> int:
             print(f"window={wcells} freq={freq}: r2={rows[-1][2]:.6f} "
                   f"rel_l2={rows[-1][3]:.3e}")
     path = out / "sweep.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window,frequency,r2,rel_l2\n")
-        for wcells, freq, r2v, relv in rows:
-            fh.write(f"{wcells},{_fmt(freq)},{_fmt(r2v)},{_fmt(relv)}\n")
+    _write_csv(path, "window,frequency,r2,rel_l2", rows)
     print(f"wrote {path}")
     return 0
 
@@ -331,21 +300,20 @@ def loglog_slope(points: list[tuple[int, float]]) -> float:
 
 
 def cmd_bench(args) -> int:
-    blocks = [int(v) for v in _parse_number_list(args.blocks, "--blocks")]
+    blocks = [int(v) for v in parse_number_list(args.blocks, "--blocks")]
     if len(blocks) < 4:
         raise ConfigError("--blocks: need at least 4 points")
     if blocks != sorted(blocks):
         raise ConfigError("--blocks: list must be sorted ascending")
     if args.reps < 1:
         raise ConfigError("--reps: must be >= 1")
+    window_size(args.bench_window, "--bench-window")
     out = Path(args.out or "results")
     out.mkdir(parents=True, exist_ok=True)
     results = bench_roundtrip(blocks, args.reps, window=args.bench_window)
     path = out / "bench.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("b_max,median_seconds,repetitions\n")
-        for b_max, seconds in results:
-            fh.write(f"{b_max},{_fmt(seconds)},{args.reps}\n")
+    _write_csv(path, "b_max,median_seconds,repetitions",
+               [(b_max, seconds, args.reps) for b_max, seconds in results])
     slope = loglog_slope(results)
     for b_max, seconds in results:
         print(f"b_max={b_max}: {seconds * 1e3:.3f} ms")
@@ -378,15 +346,7 @@ def cmd_sizing(args) -> int:
     cfg = _load_effective_config(args)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dc = cfg.dataset
-    ds = generate_dataset(dc.kind, dc.grid(), dc.pde(), dc.ic.build(), 0, dc.seed)
-    u_max = None
-    if ds.kind == "burgers":
-        u_max = float(np.max(np.abs(ds.frames[0].data)))
-    report = recommend_window(
-        ds.pde, kind=_CHAR_LENGTH_KIND[ds.kind], probe=_probe_line(ds), u_max=u_max
-    )
-    text = report.as_text()
+    text = _sizing_report(_generate(replace(cfg.dataset, n_steps=0))).as_text()
     sys.stdout.write(text)
     (out / "sizing.txt").write_text(text, encoding="utf-8")
     return 0
@@ -403,13 +363,12 @@ class _Parser(argparse.ArgumentParser):
 def _load_effective_config(args) -> ExperimentConfig:
     if not args.config:
         raise ConfigError("--config is required for this command")
-    cfg = load_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        overrides["seed"] = args.seed
     if args.window:
-        sizes = tuple(int(v) for v in _parse_number_list(args.window, "--window"))
-        cfg = replace(cfg, window=sizes)
-    return cfg
+        overrides["window"] = parse_number_list(args.window, "--window")
+    return load_config(args.config, overrides)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -1,7 +1,8 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
 A config file mirrors :class:`ExperimentConfig`; CLI flags override file
-values.  Parsing reports the offending dotted field path on every error.
+values before parsing, so they are checked like the fields they replace.
+Parsing reports the offending dotted field path on every error.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .generators import BOUNDARIES, GridPde, InitialCondition
-from .tensor import Shape
+from .generators import BOUNDARIES, InitialCondition
 
 _DATASET_KINDS = ("advection", "burgers", "heat")
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
@@ -47,64 +47,73 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class IcConfig:
-    kind: str = "sine"
-    freq: float | None = None
-    n_bumps: int | None = None
-    bandwidth: float | None = None
-    base_freq: float = 0.5
-    envelope_sigma: float | None = None
-    width_fraction_range: tuple[float, float] = (0.05, 0.15)
-    center_margin: float = 0.15
+def _nonnegative(value, where: str) -> float:
+    v = _number(value, where)
+    if v < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {v}")
+    return v
 
-    @classmethod
-    def parse(cls, raw: dict, where: str) -> "IcConfig":
-        _check_keys(
-            raw,
-            {"kind", "freq", "n_bumps", "bandwidth", "base_freq", "envelope_sigma",
-             "width_fraction_range", "center_margin"},
-            where,
-        )
-        kind = raw.get("kind", "sine")
-        if kind not in ("sine", "bumps", "harmonics"):
-            raise ConfigError(f"{where}.kind: unknown initial condition {kind!r}")
-        widths = raw.get("width_fraction_range", [0.05, 0.15])
-        if not isinstance(widths, (list, tuple)) or len(widths) != 2:
-            raise ConfigError(f"{where}.width_fraction_range: expected [low, high]")
-        widths = tuple(
-            _number(v, f"{where}.width_fraction_range[{i}]", True)
-            for i, v in enumerate(widths)
-        )
-        margin = _number(raw.get("center_margin", 0.15), f"{where}.center_margin", True)
-        if margin >= 0.5:
-            raise ConfigError(f"{where}.center_margin: must be < 0.5, got {margin}")
-        return cls(
-            kind=kind,
-            freq=None if "freq" not in raw else _number(raw["freq"], f"{where}.freq", True),
-            n_bumps=None if "n_bumps" not in raw else _integer(raw["n_bumps"], f"{where}.n_bumps", 1),
-            bandwidth=None
-            if "bandwidth" not in raw
-            else _number(raw["bandwidth"], f"{where}.bandwidth", True),
-            base_freq=_number(raw.get("base_freq", 0.5), f"{where}.base_freq", True),
-            envelope_sigma=None
-            if raw.get("envelope_sigma") is None
-            else _number(raw["envelope_sigma"], f"{where}.envelope_sigma", True),
-            width_fraction_range=widths,
-            center_margin=margin,
-        )
 
-    def build(self) -> InitialCondition:
-        return InitialCondition(
-            kind=self.kind,
-            freq=self.freq,
-            n_bumps=self.n_bumps,
-            bandwidth=self.bandwidth,
-            base_freq=self.base_freq,
-            envelope_sigma=self.envelope_sigma,
-            width_fraction_range=self.width_fraction_range,
-            center_margin=self.center_margin,
-        )
+def window_size(value, where: str) -> int:
+    """One window extent: an odd integer of at least 3 cells."""
+    w = _integer(value, where, 3)
+    if w % 2 == 0:
+        raise ConfigError(f"{where}: sizes must be odd, got {w}")
+    return w
+
+
+def parse_number_list(text: str, where: str) -> list[int | float]:
+    """Comma-separated numbers from a flag, integers kept as ``int``."""
+    values = []
+    for item in (v.strip() for v in text.split(",")):
+        if not item:
+            continue
+        try:
+            values.append(int(item))
+        except ValueError:
+            try:
+                values.append(float(item))
+            except ValueError:
+                raise ConfigError(f"{where}: not a number: {item!r}") from None
+    if not values:
+        raise ConfigError(f"{where}: empty list")
+    return values
+
+
+def _parse_ic(raw: dict, where: str) -> InitialCondition:
+    _check_keys(
+        raw,
+        {"kind", "freq", "n_bumps", "bandwidth", "base_freq", "envelope_sigma",
+         "width_fraction_range", "center_margin"},
+        where,
+    )
+    kind = raw.get("kind", "sine")
+    if kind not in ("sine", "bumps", "harmonics"):
+        raise ConfigError(f"{where}.kind: unknown initial condition {kind!r}")
+    widths = raw.get("width_fraction_range", [0.05, 0.15])
+    if not isinstance(widths, (list, tuple)) or len(widths) != 2:
+        raise ConfigError(f"{where}.width_fraction_range: expected [low, high]")
+    widths = tuple(
+        _number(v, f"{where}.width_fraction_range[{i}]", True)
+        for i, v in enumerate(widths)
+    )
+    margin = _number(raw.get("center_margin", 0.15), f"{where}.center_margin", True)
+    if margin >= 0.5:
+        raise ConfigError(f"{where}.center_margin: must be < 0.5, got {margin}")
+    return InitialCondition(
+        kind=kind,
+        freq=None if "freq" not in raw else _number(raw["freq"], f"{where}.freq", True),
+        n_bumps=None if "n_bumps" not in raw else _integer(raw["n_bumps"], f"{where}.n_bumps", 1),
+        bandwidth=None
+        if "bandwidth" not in raw
+        else _number(raw["bandwidth"], f"{where}.bandwidth", True),
+        base_freq=_number(raw.get("base_freq", 0.5), f"{where}.base_freq", True),
+        envelope_sigma=None
+        if raw.get("envelope_sigma") is None
+        else _number(raw["envelope_sigma"], f"{where}.envelope_sigma", True),
+        width_fraction_range=widths,
+        center_margin=margin,
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ class DatasetConfig:
     nu: float = 0.0
     alpha: float = 0.0
     boundary: str = "periodic"
-    ic: IcConfig = field(default_factory=IcConfig)
+    ic: InitialCondition = field(default_factory=lambda: InitialCondition("sine"))
     n_steps: int = 10
     seed: int = 0
 
@@ -154,21 +163,12 @@ class DatasetConfig:
             dx=_number(_require(raw, "dx", where), f"{where}.dx", True),
             dt=_number(_require(raw, "dt", where), f"{where}.dt", True),
             c=c,
-            nu=_number(raw.get("nu", 0.0), f"{where}.nu"),
-            alpha=_number(raw.get("alpha", 0.0), f"{where}.alpha"),
+            nu=_nonnegative(raw.get("nu", 0.0), f"{where}.nu"),
+            alpha=_nonnegative(raw.get("alpha", 0.0), f"{where}.alpha"),
             boundary=boundary,
-            ic=IcConfig.parse(raw.get("ic", {}), f"{where}.ic"),
+            ic=_parse_ic(raw.get("ic", {}), f"{where}.ic"),
             n_steps=_integer(raw.get("n_steps", 10), f"{where}.n_steps", 0),
             seed=_integer(raw.get("seed", 0), f"{where}.seed", 0),
-        )
-
-    def grid(self) -> Shape:
-        return Shape(self.batch, self.extents, self.channels)
-
-    def pde(self) -> GridPde:
-        return GridPde(
-            dx=self.dx, dt=self.dt, c=self.c, nu=self.nu, alpha=self.alpha,
-            boundary=self.boundary,
         )
 
 
@@ -184,12 +184,9 @@ class PredictorConfig:
         kind = raw.get("kind", "stencil")
         if kind not in _PREDICTOR_KINDS:
             raise ConfigError(f"{where}.kind: unknown predictor kind {kind!r}")
-        lam = _number(raw.get("ridge_lambda", 1e-8), f"{where}.ridge_lambda")
-        if lam < 0:
-            raise ConfigError(f"{where}.ridge_lambda: must be >= 0, got {lam}")
         return cls(
             kind=kind,
-            ridge_lambda=lam,
+            ridge_lambda=_nonnegative(raw.get("ridge_lambda", 1e-8), f"{where}.ridge_lambda"),
             sample_budget=_integer(raw.get("sample_budget", 4096), f"{where}.sample_budget", 1),
         )
 
@@ -219,10 +216,7 @@ class ExperimentConfig:
         if window != "auto":
             if not isinstance(window, list) or not window:
                 raise ConfigError('window: expected "auto" or a list of odd sizes')
-            window = tuple(_integer(w, f"window[{i}]", 3) for i, w in enumerate(window))
-            for i, w in enumerate(window):
-                if w % 2 == 0:
-                    raise ConfigError(f"window[{i}]: sizes must be odd, got {w}")
+            window = tuple(window_size(w, f"window[{i}]") for i, w in enumerate(window))
         split = _number(raw.get("split_fraction", 0.5), "split_fraction")
         if not 0 < split < 1:
             raise ConfigError(f"split_fraction: must be in (0, 1), got {split}")
@@ -243,7 +237,8 @@ class ExperimentConfig:
         return d
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse a JSON config file; ``overrides`` replace top-level fields first."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -252,4 +247,6 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return ExperimentConfig.parse(raw)

@@ -86,7 +86,6 @@ class InitialCondition:
     bandwidth: float | None = None
     base_freq: float = 0.5
     envelope_sigma: float | None = None
-    amplitude_range: tuple[float, float] = (0.5, 1.5)
     width_fraction_range: tuple[float, float] = (0.05, 0.15)
     center_margin: float = 0.15
 
@@ -100,7 +99,6 @@ class Dataset:
     pde: GridPde
     seed: int
     meta: dict[str, str] = field(default_factory=dict)
-    coeff_field: BatchTensor | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
@@ -401,8 +399,8 @@ def _initial_field(ic: InitialCondition, grid: Shape, pde: GridPde, seed: int) -
         if ic.n_bumps is None:
             raise DomainError("bumps initial condition needs n_bumps")
         return gaussian_bump_field(
-            seed, grid, pde.dx, ic.n_bumps, ic.amplitude_range,
-            ic.width_fraction_range, ic.center_margin,
+            seed, grid, pde.dx, ic.n_bumps,
+            width_fraction_range=ic.width_fraction_range, center_margin=ic.center_margin,
         )
     if ic.kind == "harmonics":
         if ic.bandwidth is None:
@@ -459,7 +457,8 @@ def generate_dataset(
 # "boundary"; an unset transport speed is flagged by the reserved key "c".
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
+def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of a container or raise :class:`FormatError`."""
     buf = fh.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")
@@ -468,8 +467,6 @@ def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
 
 def write_dataset(path, ds: Dataset) -> None:
     """Serialize a dataset; floats round-trip bit-exactly."""
-    if ds.coeff_field is not None:
-        raise FormatError("coefficient fields are not representable in this container")
     grid = ds.grid
     d = grid.ndim
     c = ds.pde.c if ds.pde.c is not None else (0.0,) * d
@@ -497,7 +494,7 @@ def read_dataset(path) -> Dataset:
     """Parse a dataset container, rejecting unknown magic or version."""
     with open(path, "rb") as fh:
         magic, version, kind_code, d, _ = struct.unpack(
-            "<4sIBBH", _read_exact(fh, 12, "header")
+            "<4sIBBH", read_exact(fh, 12, "header")
         )
         if magic != DATASET_MAGIC:
             raise FormatError(f"bad magic {magic!r}")
@@ -507,16 +504,16 @@ def read_dataset(path) -> Dataset:
             raise FormatError(f"unknown dataset kind code {kind_code}")
         if not 1 <= d <= 3:
             raise FormatError(f"unsupported spatial rank {d}")
-        counts = struct.unpack(f"<{d + 3}I", _read_exact(fh, 4 * (d + 3), "extents"))
+        counts = struct.unpack(f"<{d + 3}I", read_exact(fh, 4 * (d + 3), "extents"))
         batch, spatial, channels, n_steps = counts[0], counts[1:-2], counts[-2], counts[-1]
         scalars = struct.unpack(
-            f"<2d{d}d2dQ", _read_exact(fh, 8 * (d + 5), "parameters")
+            f"<2d{d}d2dQ", read_exact(fh, 8 * (d + 5), "parameters")
         )
         dt, dx = scalars[0], scalars[1]
         c = tuple(scalars[2 : 2 + d])
         nu, alpha, seed = scalars[2 + d], scalars[3 + d], scalars[4 + d]
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "meta length"))
-        meta_text = _read_exact(fh, meta_len, "meta").decode("utf-8")
+        (meta_len,) = struct.unpack("<I", read_exact(fh, 4, "meta length"))
+        meta_text = read_exact(fh, meta_len, "meta").decode("utf-8")
         meta = {}
         for line in meta_text.splitlines():
             if line:
@@ -534,7 +531,7 @@ def read_dataset(path) -> Dataset:
         frame_bytes = grid.count * 8
         frames = []
         for t in range(n_steps + 1):
-            raw = _read_exact(fh, frame_bytes, f"frame {t}")
+            raw = read_exact(fh, frame_bytes, f"frame {t}")
             arr = np.frombuffer(raw, dtype="<f8").reshape(grid.dims)
             frames.append(BatchTensor(arr.copy()))
         if fh.read(1):

@@ -17,7 +17,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .generators import Dataset, GridPde
+from .generators import Dataset, GridPde, read_exact
 from .tensor import BatchTensor
 from .windowing import WindowSpec, window_view
 
@@ -416,13 +416,6 @@ def metrics_record(pred, truth) -> MetricsRecord:
 #   biases f64: N_c values
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return buf
-
-
 def write_stencil(path, st: LearnedStencil) -> None:
     d = st.window.ndim
     with open(path, "wb") as fh:
@@ -435,15 +428,15 @@ def write_stencil(path, st: LearnedStencil) -> None:
 
 def read_stencil(path) -> LearnedStencil:
     with open(path, "rb") as fh:
-        magic, version, d = struct.unpack("<4sIB", _read_exact(fh, 9, "header"))
+        magic, version, d = struct.unpack("<4sIB", read_exact(fh, 9, "header"))
         if magic != STENCIL_MAGIC:
             raise FormatError(f"bad magic {magic!r}")
         if version != STENCIL_VERSION:
             raise FormatError(f"unsupported version {version}")
         if not 1 <= d <= 3:
             raise FormatError(f"unsupported spatial rank {d}")
-        sizes = struct.unpack(f"<{d}I", _read_exact(fh, 4 * d, "window sizes"))
-        nc, lam = struct.unpack("<Id", _read_exact(fh, 12, "channels/lambda"))
+        sizes = struct.unpack(f"<{d}I", read_exact(fh, 4 * d, "window sizes"))
+        nc, lam = struct.unpack("<Id", read_exact(fh, 12, "channels/lambda"))
         if nc < 1:
             raise FormatError("channel count must be positive")
         try:
@@ -451,8 +444,8 @@ def read_stencil(path) -> LearnedStencil:
         except Exception as exc:
             raise FormatError(f"invalid window sizes {sizes}: {exc}") from exc
         n_features = window.cells * nc
-        raw_w = _read_exact(fh, 8 * n_features * nc, "weights")
-        raw_b = _read_exact(fh, 8 * nc, "biases")
+        raw_w = read_exact(fh, 8 * n_features * nc, "weights")
+        raw_b = read_exact(fh, 8 * nc, "biases")
         if fh.read(1):
             raise FormatError("trailing bytes after biases")
         weights = np.frombuffer(raw_w, dtype="<f8").reshape(nc, n_features).T.copy()

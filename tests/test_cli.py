@@ -242,8 +242,33 @@ def test_config_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dataset" in err and "wavelength" in err
 
+    negative = write_config(tmp_path, {"dataset": {"nu": -1}}, name="negative.json")
+    assert main(["gen", "--config", str(negative)]) == 1
+    assert "config error: dataset.nu" in capsys.readouterr().err
+
     assert main(["gen"]) == 1  # missing --config
     assert main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["eval", "--seed", "-1"], "seed"),
+    (["eval", "--window", "4,4"], "window[0]"),
+    (["sweep", "--windows", "3.7,5", "--freqs", "1,2"], "--windows[0]"),
+])
+def test_bad_flag_overrides_are_config_errors(tmp_path, capsys, argv, field):
+    cfg = write_config(tmp_path)
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("size", ["2", "0"])
+def test_bench_rejects_bad_window_before_timing(tmp_path, capsys, size):
+    out = tmp_path / "bench"
+    assert main(["bench", "--blocks", "4,8,16,32", "--reps", "1",
+                 "--bench-window", size, "--out", str(out)]) == 1
+    assert "config error: --bench-window" in capsys.readouterr().err
+    assert not (out / "bench.csv").exists()
 
 
 def test_runtime_errors_exit_two(tmp_path, capsys):

@@ -172,13 +172,3 @@ def test_stencil_truncation_and_magic(tmp_path):
     bad.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(FormatError):
         read_stencil(bad)
-
-
-def test_coeff_field_not_representable(tmp_path):
-    ds = small_dataset()
-    with_coeff = Dataset(
-        ds.kind, ds.frames, ds.pde, ds.seed, ds.meta,
-        coeff_field=BatchTensor(np.ones((1, 2, 3, 1))),
-    )
-    with pytest.raises(FormatError):
-        write_dataset(tmp_path / "x.ddld", with_coeff)

@@ -72,6 +72,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _generate(dc: DatasetConfig) -> Dataset:
+    dc.check_ic()
     pde = GridPde(dx=dc.dx, dt=dc.dt, c=dc.c, nu=dc.nu, alpha=dc.alpha, boundary=dc.boundary)
     return generate_dataset(dc.kind, Shape(dc.batch, dc.extents, dc.channels), pde, dc.ic,
                             dc.n_steps, dc.seed)
@@ -152,9 +153,9 @@ def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
 
 def cmd_gen(args) -> int:
     cfg = _load_effective_config(args)
+    ds = _generate(cfg.dataset)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = _generate(cfg.dataset)
     path = out / "dataset.ddld"
     write_dataset(path, ds)
     g = ds.grid
@@ -168,13 +169,13 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_effective_config(args)
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     ds = read_dataset(args.data) if args.data else _generate(cfg.dataset)
     timings["dataset"] = time.perf_counter() - t0
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     if ds.n_steps < 1:
         raise WindecError("evaluation needs at least 2 frames")
 
@@ -300,7 +301,9 @@ def loglog_slope(points: list[tuple[int, float]]) -> float:
 
 
 def cmd_bench(args) -> int:
-    blocks = [int(v) for v in parse_number_list(args.blocks, "--blocks")]
+    blocks = parse_number_list(args.blocks, "--blocks")
+    if not all(isinstance(b, int) and b >= 1 for b in blocks):
+        raise ConfigError(f"--blocks: expected positive integers, got {args.blocks!r}")
     if len(blocks) < 4:
         raise ConfigError("--blocks: need at least 4 points")
     if blocks != sorted(blocks):
@@ -344,9 +347,9 @@ def cmd_probe(args) -> int:
 
 def cmd_sizing(args) -> int:
     cfg = _load_effective_config(args)
+    text = _sizing_report(_generate(replace(cfg.dataset, n_steps=0))).as_text()
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = _sizing_report(_generate(replace(cfg.dataset, n_steps=0))).as_text()
     sys.stdout.write(text)
     (out / "sizing.txt").write_text(text, encoding="utf-8")
     return 0

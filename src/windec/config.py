@@ -16,6 +16,8 @@ from .generators import BOUNDARIES, InitialCondition
 
 _DATASET_KINDS = ("advection", "burgers", "heat")
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
+# the parameter each initial-condition kind cannot generate without
+_IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -88,7 +90,7 @@ def _parse_ic(raw: dict, where: str) -> InitialCondition:
         where,
     )
     kind = raw.get("kind", "sine")
-    if kind not in ("sine", "bumps", "harmonics"):
+    if kind not in _IC_PARAMETER:
         raise ConfigError(f"{where}.kind: unknown initial condition {kind!r}")
     widths = raw.get("width_fraction_range", [0.05, 0.15])
     if not isinstance(widths, (list, tuple)) or len(widths) != 2:
@@ -147,6 +149,10 @@ class DatasetConfig:
         if not isinstance(extents, list) or not extents:
             raise ConfigError(f"{where}.extents: expected a non-empty list")
         extents = tuple(_integer(n, f"{where}.extents[{i}]", 1) for i, n in enumerate(extents))
+        if kind == "heat" and len(extents) not in (2, 3):
+            raise ConfigError(
+                f"{where}.extents: heat datasets need 2 or 3 dimensions, got {len(extents)}"
+            )
         c = raw.get("c")
         if c is not None:
             if not isinstance(c, list) or len(c) != len(extents):
@@ -170,6 +176,18 @@ class DatasetConfig:
             n_steps=_integer(raw.get("n_steps", 10), f"{where}.n_steps", 0),
             seed=_integer(raw.get("seed", 0), f"{where}.seed", 0),
         )
+
+    def check_ic(self) -> None:
+        """Require the parameter of the ``ic`` kind before generating from it.
+
+        Parsing leaves it optional because ``sweep`` replaces ``ic`` with one
+        per frequency.
+        """
+        name = _IC_PARAMETER[self.ic.kind]
+        if getattr(self.ic, name) is None:
+            raise ConfigError(
+                f"dataset.ic.{name}: missing required field for kind {self.ic.kind!r}"
+            )
 
 
 @dataclass(frozen=True)

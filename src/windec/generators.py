@@ -18,6 +18,7 @@ Datasets serialize to a little-endian binary container (see
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
@@ -457,12 +458,32 @@ def generate_dataset(
 # "boundary"; an unset transport speed is flagged by the reserved key "c".
 
 
+def _bytes_left(fh: BinaryIO) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of a container or raise :class:`FormatError`."""
+    """Read exactly ``n`` bytes of a container or raise :class:`FormatError`.
+
+    A length beyond the end of the file is refused before anything is read,
+    so a corrupt length field cannot ask for a buffer larger than the file.
+    """
+    if n > _bytes_left(fh):
+        raise FormatError(f"truncated file while reading {what}")
     buf = fh.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")
     return buf
+
+
+def check_payload(fh: BinaryIO, n: int, what: str) -> None:
+    """Raise :class:`FormatError` unless exactly ``n`` bytes follow the header.
+
+    Called before the payload is read, with the size the header implies.
+    """
+    left = _bytes_left(fh)
+    if left != n:
+        raise FormatError(f"header implies {n} bytes of {what}, but {left} follow")
 
 
 def write_dataset(path, ds: Dataset) -> None:
@@ -513,7 +534,10 @@ def read_dataset(path) -> Dataset:
         c = tuple(scalars[2 : 2 + d])
         nu, alpha, seed = scalars[2 + d], scalars[3 + d], scalars[4 + d]
         (meta_len,) = struct.unpack("<I", read_exact(fh, 4, "meta length"))
-        meta_text = read_exact(fh, meta_len, "meta").decode("utf-8")
+        try:
+            meta_text = read_exact(fh, meta_len, "meta").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"meta is not UTF-8: {exc}") from exc
         meta = {}
         for line in meta_text.splitlines():
             if line:
@@ -529,11 +553,10 @@ def read_dataset(path) -> Dataset:
         except Exception as exc:
             raise FormatError(f"invalid header values: {exc}") from exc
         frame_bytes = grid.count * 8
+        check_payload(fh, (n_steps + 1) * frame_bytes, "frames")
         frames = []
         for t in range(n_steps + 1):
             raw = read_exact(fh, frame_bytes, f"frame {t}")
             arr = np.frombuffer(raw, dtype="<f8").reshape(grid.dims)
             frames.append(BatchTensor(arr.copy()))
-        if fh.read(1):
-            raise FormatError("trailing bytes after final frame")
     return Dataset(_KIND_NAMES[kind_code], tuple(frames), pde, seed, meta)

@@ -31,7 +31,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .generators import Dataset, GridPde, read_exact
+from .generators import Dataset, GridPde, check_payload, read_exact
 from .tensor import BatchTensor
 from .windowing import WindowSpec, window_view
 
@@ -222,17 +222,34 @@ def _solve_ridge(
     """Centered ridge normal equations with one refinement pass.
 
     Returns (weights, bias); the bias is left unpenalized by fitting on
-    centered data.  Raises SingularSystem when lam == 0 and the system is
-    rank deficient.
+    centered data.  With n samples and p features the solve runs in the
+    smaller space: the p x p system (X^T X + lam I) w = X^T y when n >= p,
+    otherwise the n x n system (X X^T + lam I) a = y with w = X^T a, by the
+    identity (X^T X + lam I)^-1 X^T = X^T (X X^T + lam I)^-1.
+
+    Raises SingularSystem when lam == 0 and the system is rank deficient.
+    Centering leaves rank at most n - 1, so that always holds for lam == 0
+    when n <= p.
     """
     if lam < 0:
         raise DomainError("ridge_lambda must be non-negative")
+    n, p = x.shape
+    if lam == 0 and n <= p:
+        raise SingularSystem(
+            f"{n} samples for {p} features leave the normal equations singular "
+            "without ridge; increase ridge_lambda"
+        )
     xm = x.mean(axis=0)
     ym = y.mean(axis=0)
     xc = x - xm
     yc = y - ym
-    a = xc.T @ xc + lam * np.eye(x.shape[1])
-    b = xc.T @ yc
+    dual = n < p
+    if dual:
+        a = xc @ xc.T + lam * np.eye(n)
+        b = yc
+    else:
+        a = xc.T @ xc + lam * np.eye(p)
+        b = xc.T @ yc
     try:
         w = np.linalg.solve(a, b)
         w = w + np.linalg.solve(a, b - a @ w)
@@ -247,6 +264,8 @@ def _solve_ridge(
             f"normal-equation residual {resid / b_norm:.3g} > 1e-8; "
             "increase ridge_lambda"
         )
+    if dual:
+        w = xc.T @ w
     bias = ym - xm @ w
     return w, bias
 
@@ -444,10 +463,9 @@ def read_stencil(path) -> LearnedStencil:
         except Exception as exc:
             raise FormatError(f"invalid window sizes {sizes}: {exc}") from exc
         n_features = window.cells * nc
+        check_payload(fh, 8 * n_features * nc + 8 * nc, "weights and biases")
         raw_w = read_exact(fh, 8 * n_features * nc, "weights")
         raw_b = read_exact(fh, 8 * nc, "biases")
-        if fh.read(1):
-            raise FormatError("trailing bytes after biases")
         weights = np.frombuffer(raw_w, dtype="<f8").reshape(nc, n_features).T.copy()
         bias = np.frombuffer(raw_b, dtype="<f8").copy()
     return LearnedStencil(window, weights, bias, lam)

@@ -3,7 +3,8 @@
 Everything here recomputes expected results through a different code path
 than the module under test: direct index arithmetic, scipy's interpolation
 and correlation routines, explicit padded-array slicing, per-block
-split/stack decomposition, or one-sample-at-a-time loops.
+split/stack decomposition, one-sample-at-a-time loops, or an SVD in place
+of the normal equations.
 """
 
 import math
@@ -154,3 +155,16 @@ def sample_pairs_loop(ds, w, sample_budget, seed, pair_indices=None):
         x[s] = ds.frames[t].data[idx].ravel()
         y[s] = ds.frames[t + 1].data[(b, *center, slice(None))]
     return x, y
+
+
+def ridge_svd(x, y, lam):
+    """Centered ridge regression through the thin SVD of the centered inputs.
+
+    With xc = U diag(s) V^T the weights are V diag(s / (s^2 + lam)) U^T yc,
+    and the bias is ym - xm @ w, as for an unpenalized intercept.
+    """
+    xm = x.mean(axis=0)
+    ym = y.mean(axis=0)
+    u, s, vt = np.linalg.svd(x - xm, full_matrices=False)
+    w = vt.T @ ((s / (s**2 + lam))[:, None] * (u.T @ (y - ym)))
+    return w, ym - xm @ w

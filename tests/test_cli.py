@@ -167,6 +167,17 @@ def test_sweep_emits_unique_grid(tmp_path):
     assert all(set(r) == {"window", "frequency", "r2", "rel_l2"} for r in rows)
 
 
+def test_sweep_accepts_ic_without_its_parameter(tmp_path):
+    # sweep sets the frequency itself, so the config's sine needs no freq
+    cfg = write_config(tmp_path, {
+        "dataset": {"extents": [64], "dx": 1 / 16, "c": [1 / 16], "n_steps": 4,
+                    "ic": {"kind": "sine"}},
+        "predictor": {"kind": "stencil", "sample_budget": 256},
+    })
+    assert main(["sweep", "--config", str(cfg), "--windows", "3,5", "--freqs", "1,2"]) == 0
+    assert len(read_csv(tmp_path / "out" / "sweep.csv")) == 4
+
+
 def test_sweep_needs_two_by_two(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--windows", "3", "--freqs", "1,2"]) == 1
@@ -186,9 +197,14 @@ def test_bench_writes_csv_and_slope(tmp_path, capsys):
     assert all(float(r["median_seconds"]) > 0 for r in rows)
 
 
-def test_bench_rejects_bad_blocks(tmp_path):
+def test_bench_rejects_bad_blocks(tmp_path, capsys):
     assert main(["bench", "--blocks", "8,4,16,32", "--out", str(tmp_path)]) == 1
     assert main(["bench", "--blocks", "4,8,16", "--out", str(tmp_path)]) == 1
+    out = tmp_path / "bench"
+    for blocks in ("8.5,16,32,64", "0,1,2,3"):
+        assert main(["bench", "--blocks", blocks, "--reps", "1", "--out", str(out)]) == 1
+        assert "config error: --blocks" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bench_median_stable_across_repetitions(tmp_path):
@@ -248,6 +264,23 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
     assert main(["gen"]) == 1  # missing --config
     assert main(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize("dataset, field", [
+    ({"ic": {"kind": "sine"}}, "dataset.ic.freq"),
+    ({"ic": {"kind": "bumps"}}, "dataset.ic.n_bumps"),
+    ({"ic": {"kind": "harmonics"}}, "dataset.ic.bandwidth"),
+    ({"kind": "heat", "extents": [24], "c": None, "alpha": 0.1}, "dataset.extents"),
+])
+def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field):
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["dataset"].update(dataset)
+    path.write_text(json.dumps(cfg))
+    for command in ("gen", "eval", "sizing"):
+        assert main([command, "--config", str(path)]) == 1
+        assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -121,6 +121,33 @@ def test_trailing_bytes_rejected(tmp_path):
         read_dataset(path)
 
 
+def huge_dataset_header(meta_len=0):
+    """A rank-3 .ddld header claiming 65535^3 cells per frame, then 64 bytes."""
+    blob = struct.pack("<4sIBBH", b"DDLD", 1, 0, 3, 0)
+    blob += struct.pack("<6I", 1, 65535, 65535, 65535, 1, 0)
+    blob += struct.pack("<7d", 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    blob += struct.pack("<Q", 0) + struct.pack("<I", meta_len)
+    return blob + bytes(64)
+
+
+def test_header_claiming_more_than_the_file_holds_rejected(tmp_path):
+    path = tmp_path / "huge.ddld"
+    for meta_len in (0, 0xFFFFFFFF):
+        path.write_bytes(huge_dataset_header(meta_len))
+        with pytest.raises(FormatError):
+            read_dataset(path)
+
+
+def test_non_utf8_meta_rejected(tmp_path):
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, small_dataset())
+    raw = bytearray(path.read_bytes())
+    raw[92] = 0xFF  # first meta byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_dataset(path)
+
+
 # --- stencil container ----------------------------------------------------------
 
 
@@ -172,3 +199,12 @@ def test_stencil_truncation_and_magic(tmp_path):
     bad.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(FormatError):
         read_stencil(bad)
+
+
+def test_stencil_header_claiming_more_than_the_file_holds_rejected(tmp_path):
+    blob = struct.pack("<4sIB", b"DDST", 1, 3) + struct.pack("<3I", 65535, 65535, 65535)
+    blob += struct.pack("<Id", 1, 0.0) + bytes(64)
+    path = tmp_path / "huge.ddst"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError):
+        read_stencil(path)

@@ -29,7 +29,14 @@ from windec import (
     rel_l2,
     sample_training_pairs,
 )
-from oracles import convolve_stencil_full, diffusion_full, sample_pairs_loop, upwind_full
+from windec.models import _solve_ridge
+from oracles import (
+    convolve_stencil_full,
+    diffusion_full,
+    ridge_svd,
+    sample_pairs_loop,
+    upwind_full,
+)
 
 
 def rand_windows(rng, m, sizes, channels=1):
@@ -203,6 +210,62 @@ def test_fit_satisfies_normal_equations():
     assert np.linalg.norm(a @ st.weights - b) / np.linalg.norm(b) <= 1e-8
 
 
+def test_fit_stencil_weights_equal_primal_normal_equation_solve():
+    # n >= p solves the p x p normal equations exactly as written here, bit for bit
+    ds = advection_dataset(seed=13)
+    w = WindowSpec((5, 5))
+    lam = 1e-8
+    st = fit_stencil(ds, w, ridge_lambda=lam, sample_budget=2048, seed=2)
+    x, y = sample_training_pairs(ds, w, 2048, seed=2)
+    xm, ym = x.mean(axis=0), y.mean(axis=0)
+    xc, yc = x - xm, y - ym
+    a = xc.T @ xc + lam * np.eye(x.shape[1])
+    b = xc.T @ yc
+    want = np.linalg.solve(a, b)
+    want = want + np.linalg.solve(a, b - a @ want)
+    assert np.array_equal(st.weights, want)
+    assert np.array_equal(st.bias, ym - xm @ want)
+
+
+def c09_frame_pairs(pairs):
+    """Whole-frame (input, target) rows of the c09 dataset: 4 x 48^2, one row per item."""
+    ds = advection_dataset(batch=4)
+    x = np.stack([ds.frames[t].data[b].ravel() for t in pairs for b in range(4)])
+    y = np.stack([ds.frames[t + 1].data[b].ravel() for t in pairs for b in range(4)])
+    return x, y
+
+
+def random_regression(n, p, seed=15):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal((p, 2)) + 0.1 * rng.standard_normal((n, 2))
+    return x, y
+
+
+@pytest.mark.parametrize("case", ["dual-c09", "primal"])
+def test_solve_ridge_matches_svd_oracle(case):
+    lam = 1e-8
+    if case == "dual-c09":
+        (x, y), (x_test, _) = c09_frame_pairs([0, 2, 4, 6]), c09_frame_pairs([1, 3, 5, 7])
+        assert x.shape == (16, 2304)
+    else:
+        x, y = random_regression(400, 30)
+        x_test, _ = random_regression(50, 30, seed=16)
+    w, bias = _solve_ridge(x, y, lam)
+    want_w, want_bias = ridge_svd(x, y, lam)
+    for inputs in (x, x_test):
+        pred, want = inputs @ w + bias, inputs @ want_w + want_bias
+        assert np.linalg.norm(pred - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n, p", [(16, 2304), (30, 30)])
+def test_solve_ridge_without_ridge_needs_more_samples_than_features(n, p):
+    # centered data has rank <= n - 1, so lam = 0 is singular whenever n <= p
+    x, y = random_regression(n, p)
+    with pytest.raises(SingularSystem):
+        _solve_ridge(x, y, 0.0)
+
+
 def test_learned_stencil_integration_matches_full_convolution():
     rng = np.random.default_rng(11)
     w = WindowSpec((3, 5))
@@ -259,6 +322,12 @@ def test_global_linear_deterministic():
     a = fit_global_linear(ds, sample_budget=8, seed=4)
     b = fit_global_linear(ds, sample_budget=8, seed=4)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_global_linear_without_ridge_raises():
+    ds = advection_dataset(batch=4)
+    with pytest.raises(SingularSystem):
+        fit_global_linear(ds, ridge_lambda=0.0, seed=0, pair_indices=[0, 2, 4, 6])
 
 
 def test_local_beats_global_on_advection():

@@ -127,15 +127,20 @@ def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpe
     return fit_global_linear(ds, **fit)
 
 
-def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor,
-                    w: WindowSpec | None) -> list[tuple[int, MetricsRecord]]:
+def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor, w: WindowSpec | None,
+                    timings: dict[str, float]) -> list[tuple[int, MetricsRecord]]:
+    """Metrics of each pair; adds prediction and metric seconds to ``timings``."""
     rows = []
     for t in pairs:
+        t0 = time.perf_counter()
         if isinstance(predictor, GlobalLinearModel):
             pred = predictor.predict_frame(ds.frames[t])
         else:
             pred = integrate_predictions(ds.frames[t], w, predictor)
+        t1 = time.perf_counter()
         rows.append((t, metrics_record(pred, ds.frames[t + 1])))
+        timings["predict"] = timings.get("predict", 0.0) + (t1 - t0)
+        timings["metrics"] = timings.get("metrics", 0.0) + (time.perf_counter() - t1)
     return rows
 
 
@@ -190,8 +195,8 @@ def cmd_eval(args) -> int:
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train_rows = _evaluate_pairs(ds, train_pairs, predictor, w)
-    test_rows = _evaluate_pairs(ds, test_pairs, predictor, w)
+    train_rows = _evaluate_pairs(ds, train_pairs, predictor, w, timings)
+    test_rows = _evaluate_pairs(ds, test_pairs, predictor, w, timings)
     timings["evaluate"] = time.perf_counter() - t0
 
     for name, rows in (("train", train_rows), ("test", test_rows)):
@@ -248,7 +253,7 @@ def cmd_sweep(args) -> int:
         for wcells in windows:
             w = WindowSpec.cube(wcells, d)
             stencil = _build_predictor("stencil", cfg, ds, w, train_pairs)
-            test_rows = _evaluate_pairs(ds, test_pairs, stencil, w)
+            test_rows = _evaluate_pairs(ds, test_pairs, stencil, w, {})
             rows.append((
                 wcells, freq,
                 statistics.fmean(m.r2 for _, m in test_rows),

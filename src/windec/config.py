@@ -8,6 +8,7 @@ Parsing reports the offending dotted field path on every error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,9 @@ from .generators import BOUNDARIES, InitialCondition
 
 _DATASET_KINDS = ("advection", "burgers", "heat")
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
+# the grid ranks and channel counts the heat and burgers steppers support
+_RANKS = {"heat": (2, 3), "burgers": (2,)}
+_CHANNELS = {"heat": 1, "burgers": 2}
 # the parameter each initial-condition kind cannot generate without
 _IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
 
@@ -29,7 +33,12 @@ def _require(mapping: dict, key: str, where: str):
 def _number(value, where: str, positive: bool = False) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(f"{where}: must be positive, got {v}")
     return v
@@ -149,9 +158,15 @@ class DatasetConfig:
         if not isinstance(extents, list) or not extents:
             raise ConfigError(f"{where}.extents: expected a non-empty list")
         extents = tuple(_integer(n, f"{where}.extents[{i}]", 1) for i, n in enumerate(extents))
-        if kind == "heat" and len(extents) not in (2, 3):
+        if kind in _RANKS and len(extents) not in _RANKS[kind]:
+            ranks = " or ".join(map(str, _RANKS[kind]))
             raise ConfigError(
-                f"{where}.extents: heat datasets need 2 or 3 dimensions, got {len(extents)}"
+                f"{where}.extents: {kind} datasets need {ranks} dimensions, got {len(extents)}"
+            )
+        channels = _integer(raw.get("channels", 1), f"{where}.channels", 1)
+        if kind in _CHANNELS and channels != _CHANNELS[kind]:
+            raise ConfigError(
+                f"{where}.channels: {kind} datasets need {_CHANNELS[kind]}, got {channels}"
             )
         c = raw.get("c")
         if c is not None:
@@ -165,7 +180,7 @@ class DatasetConfig:
             kind=kind,
             batch=_integer(raw.get("batch", 1), f"{where}.batch", 1),
             extents=extents,
-            channels=_integer(raw.get("channels", 1), f"{where}.channels", 1),
+            channels=channels,
             dx=_number(_require(raw, "dx", where), f"{where}.dx", True),
             dt=_number(_require(raw, "dt", where), f"{where}.dt", True),
             c=c,

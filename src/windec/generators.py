@@ -59,6 +59,9 @@ class GridPde:
     boundary: str = "periodic"
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.dx, self.dt, self.nu, self.alpha,
+                                              *(self.c or ()))):
+            raise DomainError("pde parameters must be finite")
         if self.dx <= 0 or self.dt <= 0:
             raise DomainError(f"dx and dt must be positive, got {self.dx}, {self.dt}")
         if self.nu < 0 or self.alpha < 0:
@@ -512,7 +515,11 @@ def write_dataset(path, ds: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Parse a dataset container, rejecting unknown magic or version."""
+    """Parse a dataset container, rejecting unknown magic or version.
+
+    A file that does not decode to a valid dataset, one holding a NaN or
+    Inf included, raises :class:`FormatError`.
+    """
     with open(path, "rb") as fh:
         magic, version, kind_code, d, _ = struct.unpack(
             "<4sIBBH", read_exact(fh, 12, "header")
@@ -558,5 +565,7 @@ def read_dataset(path) -> Dataset:
         for t in range(n_steps + 1):
             raw = read_exact(fh, frame_bytes, f"frame {t}")
             arr = np.frombuffer(raw, dtype="<f8").reshape(grid.dims)
+            if not np.isfinite(arr).all():
+                raise FormatError(f"frame {t} holds NaN or Inf")
             frames.append(BatchTensor(arr.copy()))
     return Dataset(_KIND_NAMES[kind_code], tuple(frames), pde, seed, meta)

@@ -468,4 +468,6 @@ def read_stencil(path) -> LearnedStencil:
         raw_b = read_exact(fh, 8 * nc, "biases")
         weights = np.frombuffer(raw_w, dtype="<f8").reshape(nc, n_features).T.copy()
         bias = np.frombuffer(raw_b, dtype="<f8").copy()
+        if not (math.isfinite(lam) and np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise FormatError("stencil lambda, weights or biases hold NaN or Inf")
     return LearnedStencil(window, weights, bias, lam)

@@ -66,7 +66,15 @@ class Shape:
 
 @dataclass(frozen=True, eq=False)
 class BatchTensor:
-    """Immutable batch of grid fields backed by one contiguous float64 array."""
+    """Immutable batch of grid fields backed by one contiguous float64 array.
+
+    A C-contiguous float64 array is adopted without a copy and marked
+    read-only, so the caller's array itself can no longer be written; any
+    other float64 array (strided, Fortran-ordered, a non-contiguous view) is
+    copied and the caller's array is left as it was.  Adoption makes wrapping
+    a freshly built buffer free.  It does not freeze other views of the same
+    memory: pass a copy if something else may still write to it.
+    """
 
     data: np.ndarray
 

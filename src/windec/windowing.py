@@ -11,7 +11,8 @@ predicted centers into a full-domain field:
 3. ``window_patch`` is the bit-exact inverse of ``chunk_domain``.
 4. ``integrate_predictions`` gathers the window centered on every cell of
    the original grid from one strided view of the zero-padded grid, tile by
-   tile, and writes each predicted center straight into the output.
+   tile, and writes each predicted center straight into the output.  Each
+   tile is copied once, into the C-ordered batch the predictor reads.
 
 Steps 1-3 and ``window_offsets`` define the decomposition; step 4 computes
 the result that sweeping all prod(W_i) decomposition offsets would give,
@@ -44,8 +45,9 @@ from .tensor import BatchTensor, pad_zeros
 # Most window features copied out per predict_batch call.  A tile this size
 # stays in a core's L2 cache between the gather and the predictor's pass
 # over it.  On a 2-core Xeon with 2 MB of L2 per core, a 4x256^2 frame with
-# a 17x17 window took 186 ms with 1 MB tiles and 243 ms with 4 MB tiles;
-# an untiled gather there would need ~600 MB.
+# a 17x17 window took 121-132 ms with 1 MB tiles, 127-138 ms with 2 MB,
+# 141-158 ms with 4 MB and 154-175 ms with 0.5 MB (medians of 5, three
+# rounds); an untiled gather there would need ~600 MB.
 TILE_BYTES = 1 << 20
 
 
@@ -210,7 +212,8 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
     ``w.radius``.  Windows are copied out of one strided view in tiles of at
     most ``TILE_BYTES`` of features, one batch item at a time, and passed to
     ``predictor.predict_batch`` as a private read-only ``(M, W_1..W_d, N_c)``
-    batch; each predicted center is written to its cell.  Raises
+    batch; each predicted center is written to its cell.  A tile is copied
+    once and only one tile is alive at a time.  Raises
     :class:`PredictorContractError` if the predictor returns the wrong shape
     or a non-finite value.
     """
@@ -223,9 +226,11 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
     for b in range(t.batch):
         for tile in _tiles(t.spatial, max_cells):
             idx = (b, *tile)
-            batch = np.array(windows[idx]).reshape(-1, *w.sizes, nc)
-            got = predictor.predict_batch(BatchTensor(batch))
-            want = (batch.shape[0], *(1,) * d, nc)
+            # the default order="K" copy keeps the view's axis order, which is
+            # not C order, so the reshape (or BatchTensor) would copy it again
+            batch = BatchTensor(np.array(windows[idx], order="C").reshape(-1, *w.sizes, nc))
+            got = predictor.predict_batch(batch)
+            want = (batch.batch, *(1,) * d, nc)
             if got.dims != want:
                 raise PredictorContractError(
                     f"predictor returned {got.dims}, expected {want}"
@@ -234,6 +239,8 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
                 raise PredictorContractError("predictor returned NaN or Inf")
             target = out[idx]
             target[...] = got.data.reshape(target.shape)
+            # let this tile go before the next one is gathered
+            del batch, got, target
     return BatchTensor(out)
 
 

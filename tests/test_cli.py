@@ -118,7 +118,11 @@ def test_eval_learned_stencil_high_r2_and_run_record(tmp_path):
     record = json.loads((tmp_path / "out" / "run.json").read_text())
     assert record["window"] == [11, 11]
     assert record["seed"] == 1
-    assert set(record["timings"]) == {"dataset", "fit", "evaluate"}
+    timings = record["timings"]
+    assert set(timings) == {"dataset", "fit", "evaluate", "predict", "metrics"}
+    assert all(v >= 0.0 for v in timings.values())
+    # predict and metrics are the parts of evaluate spent in each
+    assert timings["predict"] + timings["metrics"] <= timings["evaluate"]
     assert [r["frame"] for r in record["test"]] == [int(r["frame"]) for r in rows]
 
 
@@ -262,6 +266,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["gen", "--config", str(negative)]) == 1
     assert "config error: dataset.nu" in capsys.readouterr().err
 
+    # Python's json reads NaN and Infinity; 10**400 is past the float range
+    for field, value in (("dx", float("nan")), ("alpha", float("inf")), ("dt", 10**400)):
+        path = write_config(tmp_path, {"dataset": {field: value}}, name="nonfinite.json")
+        assert main(["gen", "--config", str(path)]) == 1
+        assert f"config error: dataset.{field}" in capsys.readouterr().err
+
     assert main(["gen"]) == 1  # missing --config
     assert main(["nonsense"]) == 1
 
@@ -271,6 +281,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
     ({"ic": {"kind": "bumps"}}, "dataset.ic.n_bumps"),
     ({"ic": {"kind": "harmonics"}}, "dataset.ic.bandwidth"),
     ({"kind": "heat", "extents": [24], "c": None, "alpha": 0.1}, "dataset.extents"),
+    ({"kind": "heat", "channels": 2, "c": None, "alpha": 0.1}, "dataset.channels"),
+    ({"kind": "burgers", "channels": 1, "c": None, "nu": 0.01}, "dataset.channels"),
+    ({"kind": "burgers", "extents": [24], "channels": 2, "c": None, "nu": 0.01},
+     "dataset.extents"),
+    ({"kind": "burgers", "extents": [8, 8, 8], "channels": 2, "c": None, "nu": 0.01},
+     "dataset.extents"),
 ])
 def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field):
     path = write_config(tmp_path)

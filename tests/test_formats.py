@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windec import (
     BatchTensor,
@@ -148,6 +149,20 @@ def test_non_utf8_meta_rejected(tmp_path):
         read_dataset(path)
 
 
+# dt, dx and c[0] of small_dataset's header, then its last frame value
+@pytest.mark.parametrize("offset", [32, 40, 48, -8])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_dataset_values_rejected(tmp_path, offset, value):
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, small_dataset())
+    raw = bytearray(path.read_bytes())
+    start = offset % len(raw)
+    raw[start : start + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_dataset(path)
+
+
 # --- stencil container ----------------------------------------------------------
 
 
@@ -208,3 +223,68 @@ def test_stencil_header_claiming_more_than_the_file_holds_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(FormatError):
         read_stencil(path)
+
+
+# lambda, the first weight and the last bias of small_stencil (d = 2)
+@pytest.mark.parametrize("offset", [21, 29, -8])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_stencil_values_rejected(tmp_path, offset, value):
+    path = tmp_path / "st.ddst"
+    write_stencil(path, small_stencil())
+    raw = bytearray(path.read_bytes())
+    start = offset % len(raw)
+    raw[start : start + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        read_stencil(path)
+
+
+# --- fuzzing both containers ----------------------------------------------------
+
+CONTAINERS = {
+    "ddld": (write_dataset, read_dataset, small_dataset),
+    "ddst": (write_stencil, read_stencil, small_stencil),
+}
+
+
+@pytest.fixture(scope="module")
+def clean_containers(tmp_path_factory):
+    """Directory and bytes of one valid file of each container."""
+    directory = tmp_path_factory.mktemp("containers")
+    raw = {}
+    for kind, (write, _, build) in CONTAINERS.items():
+        path = directory / f"clean.{kind}"
+        write(path, build())
+        raw[kind] = path.read_bytes()
+    return directory, raw
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+@settings(max_examples=200)
+@given(data=st.data())
+def test_truncated_container_raises_format_error(clean_containers, kind, data):
+    directory, raw = clean_containers
+    cut = data.draw(st.integers(0, len(raw[kind]) - 1), label="cut")
+    path = directory / f"cut.{kind}"
+    path.write_bytes(raw[kind][:cut])
+    _, read, _ = CONTAINERS[kind]
+    with pytest.raises(FormatError):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+@settings(max_examples=400)
+@given(data=st.data())
+def test_bit_flipped_container_reads_back_or_raises_format_error(clean_containers, kind,
+                                                                 data):
+    directory, raw = clean_containers
+    bit = data.draw(st.integers(0, 8 * len(raw[kind]) - 1), label="bit")
+    flipped = bytearray(raw[kind])
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    path = directory / f"flipped.{kind}"
+    path.write_bytes(bytes(flipped))
+    _, read, _ = CONTAINERS[kind]
+    try:
+        read(path)
+    except FormatError:
+        pass

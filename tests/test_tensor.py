@@ -63,6 +63,29 @@ def test_tensor_is_immutable():
         t.data[0, 0, 0] = 1.0
 
 
+def test_tensor_adopts_c_contiguous_array_and_freezes_it():
+    a = np.arange(12.0).reshape(1, 4, 3)
+    t = BatchTensor(a)
+    assert t.data is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[:, ::2],                # strided view
+    lambda a: np.asfortranarray(a),     # Fortran order
+    lambda a: a.transpose(0, 2, 1),     # transposed view
+])
+def test_tensor_copies_any_other_array(make):
+    a = make(np.arange(24.0).reshape(1, 8, 3))
+    t = BatchTensor(a)
+    assert t.data.flags.c_contiguous
+    assert np.array_equal(t.data, a)
+    assert not np.shares_memory(t.data, a)
+    assert a.flags.writeable
+
+
 # --- split -------------------------------------------------------------------
 
 

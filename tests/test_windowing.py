@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,32 @@ def test_integrate_hands_predictor_private_read_only_windows(monkeypatch):
     for data in seen:
         assert not data.flags.writeable
         assert not np.shares_memory(data, t.data)
+
+
+@pytest.mark.parametrize("extents,sizes,tile_cells", [
+    ((64, 64), (9, 9), 1024),
+    ((16, 16, 16), (5, 5, 5), 512),
+    ((2048,), (9,), 1024),
+])
+def test_integrate_copies_each_tile_once_and_keeps_one_alive(monkeypatch, extents, sizes,
+                                                             tile_cells):
+    # a second copy of a tile, or the previous tile still alive while the next
+    # is gathered, each add a whole tile to the peak
+    w = WindowSpec(sizes)
+    tile_bytes = tile_cells * w.cells * 8
+    monkeypatch.setattr(windowing, "TILE_BYTES", tile_bytes)
+    t = rand_tensor(np.random.default_rng(14), (1, *extents, 1))
+    pred = IdentityPredictor(w.ndim)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = integrate_predictions(t, w, pred)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.equals(t)
+    padded = math.prod(n + s - 1 for n, s in zip(extents, sizes)) * 8
+    assert peak - padded - t.data.nbytes < 1.5 * tile_bytes
 
 
 def _oracle_predictor(kind, w, channels, rng):

@@ -45,19 +45,18 @@ def run(out_dir: str) -> int:
         "seed": 0,
         "out_dir": out_dir,
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    return windec_main([
-        "sweep", "--config", cfg_path,
-        "--windows", ",".join(str(w) for w in windows),
-        "--freqs", ",".join(str(f) for f in FREQS),
-    ])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        return windec_main([
+            "sweep", "--config", str(cfg_path),
+            "--windows", ",".join(str(w) for w in windows),
+            "--freqs", ",".join(str(f) for f in FREQS),
+        ])
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     args = parser.parse_args()
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     sys.exit(run(args.out))

@@ -1,9 +1,11 @@
 """Window decomposition for local next-step prediction on grid PDE data.
 
-The pipeline expands a batched grid with zero padding, decomposes it into
-equal windows, runs a window-to-center predictor over every decomposition
-offset, and integrates the predicted centers back into a full field in which
-each cell was predicted from exactly its local neighborhood.  Companion
+Prediction is pad -> view -> gather -> predict: the grid is zero-padded once,
+every cell's window is read from one strided view of it and copied tile by
+tile into the batch a window-to-center predictor reads, so each cell is
+predicted from exactly its local neighborhood.  ``expand_domain``,
+``chunk_domain``, ``window_patch`` and ``window_offsets`` define the window
+decomposition this computes; the acceptance gate checks them.  Companion
 modules supply PDE data generators, window-size selection rules, stencil
 predictors, and evaluation metrics.
 """
@@ -29,7 +31,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .tensor import BatchTensor, Shape, impulse, pad_zeros, slice_region, split, stack
+from .tensor import BatchTensor, Shape, impulse, pad_zeros
 from .windowing import (
     ExpansionRecord,
     WindowSpec,

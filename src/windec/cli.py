@@ -179,8 +179,6 @@ def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     ds = read_dataset(args.data) if args.data else _generate(cfg.dataset)
     timings["dataset"] = time.perf_counter() - t0
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if ds.n_steps < 1:
         raise WindecError("evaluation needs at least 2 frames")
 
@@ -199,6 +197,8 @@ def cmd_eval(args) -> int:
     test_rows = _evaluate_pairs(ds, test_pairs, predictor, w, timings)
     timings["evaluate"] = time.perf_counter() - t0
 
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, rows in (("train", train_rows), ("test", test_rows)):
         _write_csv(out / f"metrics_{name}.csv", "frame,rel_l2,paper_l2,r2",
                    [(t, m.rel_l2, m.paper_l2, m.r2) for t, m in rows])
@@ -236,8 +236,6 @@ def cmd_sweep(args) -> int:
             freqs.append(v)
     if len(windows) < 2 or len(freqs) < 2:
         raise ConfigError("sweep needs at least 2 windows and 2 frequencies")
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     d = len(cfg.dataset.extents)
     rows = []
@@ -261,6 +259,8 @@ def cmd_sweep(args) -> int:
             ))
             print(f"window={wcells} freq={freq}: r2={rows[-1][2]:.6f} "
                   f"rel_l2={rows[-1][3]:.3e}")
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
     _write_csv(path, "window,frequency,r2,rel_l2", rows)
     print(f"wrote {path}")
@@ -316,9 +316,9 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ConfigError("--reps: must be >= 1")
     window_size(args.bench_window, "--bench-window")
+    results = bench_roundtrip(blocks, args.reps, window=args.bench_window)
     out = Path(args.out or "results")
     out.mkdir(parents=True, exist_ok=True)
-    results = bench_roundtrip(blocks, args.reps, window=args.bench_window)
     path = out / "bench.csv"
     _write_csv(path, "b_max,median_seconds,repetitions",
                [(b_max, seconds, args.reps) for b_max, seconds in results])
@@ -326,16 +326,6 @@ def cmd_bench(args) -> int:
     for b_max, seconds in results:
         print(f"b_max={b_max}: {seconds * 1e3:.3f} ms")
     print(f"log-log slope={slope:.3f}")
-
-    # single-inference reference cost for scale, not a pass/fail quantity
-    rng = np.random.default_rng(0)
-    wspec = WindowSpec.cube(args.bench_window, 2)
-    windows = BatchTensor(rng.standard_normal((1024, *wspec.sizes, 1)))
-    ident = IdentityPredictor(2)
-    t0 = time.perf_counter()
-    ident.predict_batch(windows)
-    print(f"reference identity inference over 1024 windows: "
-          f"{(time.perf_counter() - t0) * 1e3:.3f} ms")
     print(f"wrote {path}")
     return 0
 

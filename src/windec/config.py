@@ -22,6 +22,10 @@ _RANKS = {"heat": (2, 3), "burgers": (2,)}
 _CHANNELS = {"heat": 1, "burgers": 2}
 # the parameter each initial-condition kind cannot generate without
 _IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
+# Most float64 values a dataset may hold over all its frames: 16 GiB, far
+# above every config in the tests, scripts and benchmark, so that a config
+# slip fails at parse time instead of partway through generation.
+MAX_DATASET_VALUES = 1 << 31
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -176,9 +180,16 @@ class DatasetConfig:
         boundary = raw.get("boundary", "periodic")
         if boundary not in BOUNDARIES:
             raise ConfigError(f"{where}.boundary: unknown boundary {boundary!r}")
+        batch = _integer(raw.get("batch", 1), f"{where}.batch", 1)
+        n_steps = _integer(raw.get("n_steps", 10), f"{where}.n_steps", 0)
+        if batch * math.prod(extents) * channels * (n_steps + 1) > MAX_DATASET_VALUES:
+            raise ConfigError(
+                f"{where}.batch * {where}.extents * {where}.channels * "
+                f"({where}.n_steps + 1): more than {MAX_DATASET_VALUES} values"
+            )
         return cls(
             kind=kind,
-            batch=_integer(raw.get("batch", 1), f"{where}.batch", 1),
+            batch=batch,
             extents=extents,
             channels=channels,
             dx=_number(_require(raw, "dx", where), f"{where}.dx", True),
@@ -188,7 +199,7 @@ class DatasetConfig:
             alpha=_nonnegative(raw.get("alpha", 0.0), f"{where}.alpha"),
             boundary=boundary,
             ic=_parse_ic(raw.get("ic", {}), f"{where}.ic"),
-            n_steps=_integer(raw.get("n_steps", 10), f"{where}.n_steps", 0),
+            n_steps=n_steps,
             seed=_integer(raw.get("seed", 0), f"{where}.seed", 0),
         )
 
@@ -274,12 +285,15 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a JSON config file; ``overrides`` replace top-level fields first."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting past its stack
+        raise ConfigError(f"{path}: {exc}") from exc
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
     return ExperimentConfig.parse(raw)

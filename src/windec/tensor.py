@@ -1,12 +1,13 @@
-"""Dense batched N-dimensional grid tensors and their copy-based primitives.
+"""Dense batched N-dimensional grid tensors.
 
 A :class:`BatchTensor` holds a batch of structured grid fields in one
 contiguous float64 buffer laid out row-major with the batch axis slowest and
 the channel axis fastest, i.e. element ``(b, i_1..i_d, c)`` lives at flat
-index ``((..(b*N_1 + i_1)*N_2 + i_2 ..)*N_c + c)``.  All operations in this
-module are pure: they never mutate their inputs and always return fresh,
-contiguous copies, which keeps equality contracts exact and lets callers
-share tensors without defensive copies.
+index ``((..(b*N_1 + i_1)*N_2 + i_2 ..)*N_c + c)``.  The buffer is read-only,
+so tensors can be shared without defensive copies.  ``pad_zeros`` and
+``impulse`` build fresh tensors and never mutate their inputs; prediction
+pads a grid once with ``pad_zeros`` and reads its windows through a strided
+view (see :mod:`windec.windowing`).
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DivisibilityError,
-    DomainError,
-    RankError,
-    ShapeMismatchError,
-    SliceBoundsError,
-)
+from .errors import DomainError, RankError, ShapeMismatchError, SliceBoundsError
 
 MAX_SPATIAL_RANK = 3
 
@@ -102,10 +97,6 @@ class BatchTensor:
             raise DomainError("input contains NaN or Inf")
         return cls(a)
 
-    @classmethod
-    def zeros(cls, shape: Shape) -> "BatchTensor":
-        return cls(np.zeros(shape.dims))
-
     @property
     def shape(self) -> Shape:
         d = self.data
@@ -137,40 +128,6 @@ class BatchTensor:
         return self.dims == other.dims and np.array_equal(self.data, other.data)
 
 
-def _check_axis(t: BatchTensor, axis: int) -> None:
-    if not 0 <= axis < t.data.ndim:
-        raise SliceBoundsError(f"axis {axis} out of range for rank-{t.data.ndim} tensor")
-
-
-def split(t: BatchTensor, parts: int, axis: int) -> list[BatchTensor]:
-    """Cut ``t`` into ``parts`` equal copies along ``axis``.
-
-    Axis 0 is the batch axis, axes 1..d the spatial axes.  Concatenating the
-    returned tensors along the same axis reproduces ``t`` bit-exactly.
-    """
-    _check_axis(t, axis)
-    if parts < 1:
-        raise DivisibilityError(f"parts must be >= 1, got {parts}")
-    extent = t.data.shape[axis]
-    if extent % parts != 0:
-        raise DivisibilityError(
-            f"axis {axis} extent {extent} is not divisible into {parts} parts"
-        )
-    return [BatchTensor(np.ascontiguousarray(p)) for p in np.split(t.data, parts, axis=axis)]
-
-
-def stack(parts: Sequence[BatchTensor], axis: int) -> BatchTensor:
-    """Concatenate equally-shaped tensors along ``axis`` into one copy."""
-    if not parts:
-        raise ShapeMismatchError("cannot stack an empty sequence")
-    first = parts[0].dims
-    for p in parts[1:]:
-        if p.dims != first:
-            raise ShapeMismatchError(f"heterogeneous shapes: {first} vs {p.dims}")
-    _check_axis(parts[0], axis)
-    return BatchTensor(np.concatenate([p.data for p in parts], axis=axis))
-
-
 def pad_zeros(
     t: BatchTensor, before: Sequence[int], after: Sequence[int]
 ) -> BatchTensor:
@@ -188,27 +145,6 @@ def pad_zeros(
         raise DomainError(f"padding counts must be non-negative: {before}, {after}")
     widths = ((0, 0), *zip(before, after), (0, 0))
     return BatchTensor(np.pad(t.data, widths))
-
-
-def slice_region(
-    t: BatchTensor, start: Sequence[int], extent: Sequence[int]
-) -> BatchTensor:
-    """Copy the spatial hyper-rectangle [start, start+extent) of every batch item.
-
-    Batch and channel axes pass through whole.
-    """
-    d = t.ndim
-    start = tuple(int(n) for n in start)
-    extent = tuple(int(n) for n in extent)
-    if len(start) != d or len(extent) != d:
-        raise RankError(f"slice bounds must have rank {d}")
-    for i, (s, n, full) in enumerate(zip(start, extent, t.spatial)):
-        if s < 0 or n < 1 or s + n > full:
-            raise SliceBoundsError(
-                f"spatial dim {i}: slice [{s}, {s + n}) outside extent {full}"
-            )
-    idx = (slice(None), *(slice(s, s + n) for s, n in zip(start, extent)), slice(None))
-    return BatchTensor(np.ascontiguousarray(t.data[idx]))
 
 
 def impulse(shape: Shape, pos: Sequence[int]) -> BatchTensor:

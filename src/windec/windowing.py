@@ -1,26 +1,24 @@
-"""Window decomposition of batched grids and its exact inverse.
+"""Window prediction over batched grids, and the decomposition it computes.
 
-The pipeline turns a batch of grid fields into a batch of small windows,
-lets a predictor map each window to its center value, and writes the
-predicted centers into a full-domain field:
+Prediction is pad -> view -> gather -> predict: ``integrate_predictions``
+zero-pads the grid once by the window radius, takes one strided view of
+every window (``window_view``), copies the windows tile by tile into the
+C-ordered batch the predictor reads, and writes each predicted center
+straight into the output.
 
-1. ``expand_domain`` zero-pads the grid so every spatial extent is a whole
-   number of windows plus a half-window halo on each side.
-2. ``chunk_domain`` converts ``(N_b, N_1..N_d, N_c)`` into a window batch
-   ``(N_b * prod(B_i), W_1..W_d, N_c)`` with one reshape/transpose.
-3. ``window_patch`` is the bit-exact inverse of ``chunk_domain``.
-4. ``integrate_predictions`` gathers the window centered on every cell of
-   the original grid from one strided view of the zero-padded grid, tile by
-   tile, and writes each predicted center straight into the output.  Each
-   tile is copied once, into the C-ordered batch the predictor reads.
-
-Steps 1-3 and ``window_offsets`` define the decomposition; step 4 computes
-the result that sweeping all prod(W_i) decomposition offsets would give,
-without materialising the sweep.  At offset p the window of block j covers
-expanded cells [p + j*W, p + (j+1)*W) and is centered on original cell
-i = p + j*W, so across all offsets every original cell is the center of
-exactly one window, and that window is the W-box [i - r, i + r] of the grid
-zero-extended by r = (W - 1) / 2: the window the gather takes for cell i.
+The decomposition is defined by four functions that the acceptance gate
+checks and prediction does not call: ``expand_domain`` zero-pads each extent
+to a whole number of windows plus a half-window halo per side;
+``chunk_domain`` turns ``(N_b, N_1..N_d, N_c)`` into a window batch
+``(N_b * prod(B_i), W_1..W_d, N_c)`` with one reshape/transpose;
+``window_patch`` is its bit-exact inverse; ``window_offsets`` lists the
+prod(W_i) in-window offsets.  Slicing the expanded domain at every offset,
+chunking, predicting and patching gives what ``integrate_predictions``
+computes.  At offset p the window of block j covers expanded cells
+[p + j*W, p + (j+1)*W) and is centered on original cell i = p + j*W, so
+across all offsets every original cell is the center of exactly one window,
+and that window is the W-box [i - r, i + r] of the grid zero-extended by
+r = (W - 1) / 2: the window the gather takes for cell i.
 """
 
 from __future__ import annotations
@@ -119,10 +117,8 @@ def expand_domain(t: BatchTensor, w: WindowSpec) -> tuple[BatchTensor, Expansion
     cell is exactly 0.0.
     """
     rec = ExpansionRecord.for_grid(t.spatial, w)
-    zeros = (0,) * t.ndim
-    grown = pad_zeros(t, zeros, tuple(s - n for s, n in zip(rec.step1, rec.original)))
-    trail = tuple(e - s - l for e, s, l in zip(rec.expanded, rec.step1, rec.lead))
-    return pad_zeros(grown, rec.lead, trail), rec
+    trail = tuple(e - n - l for e, n, l in zip(rec.expanded, rec.original, rec.lead))
+    return pad_zeros(t, rec.lead, trail), rec
 
 
 def chunk_domain(t: BatchTensor, blocks: Sequence[int]) -> BatchTensor:

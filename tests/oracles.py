@@ -4,7 +4,9 @@ Everything here recomputes expected results through a different code path
 than the module under test: direct index arithmetic, scipy's interpolation
 and correlation routines, explicit padded-array slicing, per-block
 split/stack decomposition, one-sample-at-a-time loops, or an SVD in place
-of the normal equations.
+of the normal equations.  The copy-based ``split``, ``stack`` and
+``slice_region`` primitives that the per-offset sweep is built from live
+here too; the library's prediction path does not use them.
 """
 
 import math
@@ -13,7 +15,14 @@ from itertools import product
 import numpy as np
 import scipy.ndimage
 
-from windec import expand_domain, slice_region, split, stack
+from windec import (
+    BatchTensor,
+    DivisibilityError,
+    RankError,
+    ShapeMismatchError,
+    SliceBoundsError,
+    expand_domain,
+)
 
 
 def flat_index(dims, coords):
@@ -100,6 +109,59 @@ def expansion_formula(n, w):
     expanded = (math.floor((n - 1) / w) + 1) * w + (w - 1)
     blocks = math.floor(expanded / w)
     return expanded, blocks
+
+
+def _check_axis(t, axis):
+    if not 0 <= axis < t.data.ndim:
+        raise SliceBoundsError(f"axis {axis} out of range for rank-{t.data.ndim} tensor")
+
+
+def split(t, parts, axis):
+    """Cut ``t`` into ``parts`` equal copies along ``axis``.
+
+    Axis 0 is the batch axis, axes 1..d the spatial axes.  Concatenating the
+    returned tensors along the same axis reproduces ``t`` bit-exactly.
+    """
+    _check_axis(t, axis)
+    if parts < 1:
+        raise DivisibilityError(f"parts must be >= 1, got {parts}")
+    extent = t.data.shape[axis]
+    if extent % parts != 0:
+        raise DivisibilityError(
+            f"axis {axis} extent {extent} is not divisible into {parts} parts"
+        )
+    return [BatchTensor(np.ascontiguousarray(p)) for p in np.split(t.data, parts, axis=axis)]
+
+
+def stack(parts, axis):
+    """Concatenate equally-shaped tensors along ``axis`` into one copy."""
+    if not parts:
+        raise ShapeMismatchError("cannot stack an empty sequence")
+    first = parts[0].dims
+    for p in parts[1:]:
+        if p.dims != first:
+            raise ShapeMismatchError(f"heterogeneous shapes: {first} vs {p.dims}")
+    _check_axis(parts[0], axis)
+    return BatchTensor(np.concatenate([p.data for p in parts], axis=axis))
+
+
+def slice_region(t, start, extent):
+    """Copy the spatial hyper-rectangle [start, start+extent) of every batch item.
+
+    Batch and channel axes pass through whole.
+    """
+    d = t.ndim
+    start = tuple(int(n) for n in start)
+    extent = tuple(int(n) for n in extent)
+    if len(start) != d or len(extent) != d:
+        raise RankError(f"slice bounds must have rank {d}")
+    for i, (s, n, full) in enumerate(zip(start, extent, t.spatial)):
+        if s < 0 or n < 1 or s + n > full:
+            raise SliceBoundsError(
+                f"spatial dim {i}: slice [{s}, {s + n}) outside extent {full}"
+            )
+    idx = (slice(None), *(slice(s, s + n) for s, n in zip(start, extent)), slice(None))
+    return BatchTensor(np.ascontiguousarray(t.data[idx]))
 
 
 def split_stack_chunk(t, blocks):

@@ -1,7 +1,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from windec import Shape, read_dataset, sin_field
@@ -195,7 +194,6 @@ def test_bench_writes_csv_and_slope(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "log-log slope=" in out
-    assert "reference identity inference" in out
     rows = read_csv(tmp_path / "bench.csv")
     assert [int(r["b_max"]) for r in rows] == [4, 8, 16, 32]
     assert all(float(r["median_seconds"]) > 0 for r in rows)
@@ -272,8 +270,30 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert main(["gen", "--config", str(path)]) == 1
         assert f"config error: dataset.{field}" in capsys.readouterr().err
 
+    # json.loads refuses integer literals past Python's int-string limit
+    text = write_config(tmp_path).read_text()
+    assert text.count('"seed": 1,') == 1
+    huge = tmp_path / "huge.json"
+    huge.write_text(text.replace('"seed": 1,', '"seed": ' + "9" * 5001 + ","))
+    assert main(["gen", "--config", str(huge)]) == 1
+    assert f"config error: {huge}: " in capsys.readouterr().err
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["gen", "--config", str(deep)]) == 1
+    assert f"config error: {deep}: " in capsys.readouterr().err
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(text.replace('"bumps"', '"b\u00fcmps"').encode("latin-1"))
+    assert main(["gen", "--config", str(latin1)]) == 1
+    assert "config error: cannot read config" in capsys.readouterr().err
+
     assert main(["gen"]) == 1  # missing --config
     assert main(["nonsense"]) == 1
+
+
+_TOO_MANY_VALUES = ("dataset.batch * dataset.extents * dataset.channels * "
+                    "(dataset.n_steps + 1)")
 
 
 @pytest.mark.parametrize("dataset, field", [
@@ -287,6 +307,10 @@ def test_config_errors_exit_one(tmp_path, capsys):
      "dataset.extents"),
     ({"kind": "burgers", "extents": [8, 8, 8], "channels": 2, "c": None, "nu": 0.01},
      "dataset.extents"),
+    # 10**19 items overflow the index range; 2e6 steps of 2x24^2 frames (9 KB
+    # each) overflow only across frames.  Both fail before anything is allocated.
+    ({"batch": 10**19}, _TOO_MANY_VALUES),
+    ({"n_steps": 2_000_000}, _TOO_MANY_VALUES),
 ])
 def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field):
     path = write_config(tmp_path)
@@ -303,6 +327,7 @@ def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field)
     (["eval", "--seed", "-1"], "seed"),
     (["eval", "--window", "4,4"], "window[0]"),
     (["sweep", "--windows", "3.7,5", "--freqs", "1,2"], "--windows[0]"),
+    (["eval", "--window", "5"], "window: rank 1"),
 ])
 def test_bad_flag_overrides_are_config_errors(tmp_path, capsys, argv, field):
     cfg = write_config(tmp_path)
@@ -327,12 +352,14 @@ def test_runtime_errors_exit_two(tmp_path, capsys):
     })
     assert main(["eval", "--config", str(cfg)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_oversized_window_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, {"window": [51, 51]})  # grid is only 24x24
     assert main(["eval", "--config", str(cfg)]) == 2
     assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_overrides_win_over_config(tmp_path):

@@ -14,11 +14,8 @@ from windec import (
     SliceBoundsError,
     impulse,
     pad_zeros,
-    slice_region,
-    split,
-    stack,
 )
-from oracles import flat_index
+from oracles import flat_index, slice_region, split, stack
 
 
 def rand_tensor(rng, dims):

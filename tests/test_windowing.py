@@ -25,7 +25,6 @@ from windec import (
     impulse,
     integrate_predictions,
     receptive_field_probe,
-    slice_region,
     window_offsets,
     window_patch,
 )
@@ -37,6 +36,7 @@ from oracles import (
     expansion_formula,
     gather_window,
     offset_sweep_integrate,
+    slice_region,
     split_stack_chunk,
     upwind_full,
 )

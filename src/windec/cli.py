@@ -1,9 +1,20 @@
 """Command-line front end: generate, evaluate, sweep, bench, probe, sizing.
 
-Every command is driven by a JSON config (see :mod:`windec.config`) plus
-flag overrides, and is deterministic given (config, seed) except for wall
-clock timings.  Exit codes: 0 success, 1 configuration error, 2 runtime
-error.
+Each subcommand declares only the flags it reads::
+
+    gen, sizing   --config --out
+    eval          --config --out --seed --window --data
+    sweep         --config --out --seed --windows --freqs
+    bench         --out --blocks --reps --bench-window
+    probe         --radius --layers --extent --ndim
+
+``--config`` names a JSON config (see :mod:`windec.config`) and is required
+wherever it is declared; ``--seed`` and ``--window`` replace the config's
+top-level fields before it is parsed.  A flag that a subcommand does not
+declare, or an abbreviation of one, is a configuration error.  The
+config-driven commands are deterministic given (config, seed) except for
+wall clock timings.  Exit codes: 0 success, 1 configuration error, 2
+runtime error.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    MAX_DATASET_VALUES,
     DatasetConfig,
     ExperimentConfig,
     load_config,
@@ -107,6 +119,9 @@ def _resolve_window(cfg: ExperimentConfig, ds: Dataset) -> WindowSpec:
                 f"window: rank {len(cfg.window)} does not match grid rank {ds.grid.ndim}"
             )
         return WindowSpec(cfg.window)
+    if ds.kind not in _CHAR_LENGTH_KIND:
+        raise ConfigError(f'window: "auto" cannot size a window for dataset kind {ds.kind!r}; '
+                          "give explicit window sizes")
     return WindowSpec.cube(_sizing_report(ds).recommended_cells, ds.grid.ndim)
 
 
@@ -332,6 +347,11 @@ def cmd_bench(args) -> int:
 
 def cmd_probe(args) -> int:
     extent = args.extent or 2 * args.radius * args.layers + 3
+    # refuse before np.zeros tries to allocate it; a non-positive extent is
+    # left to receptive_field_probe's runtime error
+    if extent > 0 and extent ** args.ndim > MAX_DATASET_VALUES:
+        raise ConfigError(f"--radius/--layers/--extent: a {args.ndim}-D probe of extent "
+                          f"{extent} holds more than {MAX_DATASET_VALUES} values")
     widths = receptive_field_probe(args.radius, args.layers, extent, ndim=args.ndim)
     predicted = 2 * args.radius * args.layers + 1
     ok = all(w == predicted for w in widths)
@@ -354,27 +374,27 @@ def cmd_sizing(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # exact flags only: with abbreviations sweep would read "--window" as "--windows"
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); config errors are exit 1
         raise ConfigError(message)
 
 
 def _load_effective_config(args) -> ExperimentConfig:
-    if not args.config:
-        raise ConfigError("--config is required for this command")
+    """Load ``--config`` with the ``--seed``/``--window`` overrides the command declares."""
     overrides = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if args.window:
+    if getattr(args, "window", None):
         overrides["window"] = parse_number_list(args.window, "--window")
     return load_config(args.config, overrides)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="path to a JSON experiment config")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--window", default=None,
-                   help="override window sizes, comma separated (e.g. 5,5)")
+def _add_config(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,22 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a dataset and write it to disk")
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("eval", help="fit/evaluate a predictor on a dataset")
-    _add_common(p)
+    _add_config(p)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--window", default=None,
+                   help="override window sizes, comma separated (e.g. 5,5)")
     p.add_argument("--data", default=None, help="read this .ddld instead of generating")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid of test r2 over window sizes and frequencies")
-    _add_common(p)
+    _add_config(p)
+    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--windows", required=True, help="comma-separated window cell counts")
     p.add_argument("--freqs", required=True, help="comma-separated frequencies")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="time chunk+patch while scaling block count")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output directory (default: results)")
     p.add_argument("--blocks", default="8,16,32,64,128,256",
                    help="comma-separated b_max values, ascending")
     p.add_argument("--reps", type=int, default=5, help="repetitions per point")
@@ -406,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("probe", help="measure a composed stencil receptive field")
-    _add_common(p)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--extent", type=int, default=None)
@@ -414,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("sizing", help="report a recommended window size")
-    _add_common(p)
+    _add_config(p)
     p.set_defaults(func=cmd_sizing)
     return parser
 

@@ -85,18 +85,6 @@ class BatchTensor:
         # triggers extent validation
         _ = self.shape
 
-    @classmethod
-    def from_array(cls, array) -> "BatchTensor":
-        """Copy arbitrary array-like input into a validated tensor.
-
-        Rejects non-finite values; use this at API boundaries.  Internal
-        operations that only move finite values around construct directly.
-        """
-        a = np.array(array, dtype=np.float64, order="C", copy=True)
-        if not np.all(np.isfinite(a)):
-            raise DomainError("input contains NaN or Inf")
-        return cls(a)
-
     @property
     def shape(self) -> Shape:
         d = self.data

@@ -1,10 +1,20 @@
+import argparse
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from windec import Shape, read_dataset, sin_field
-from windec.cli import main
+from windec import (
+    BatchTensor,
+    Dataset,
+    GridPde,
+    Shape,
+    read_dataset,
+    sin_field,
+    write_dataset,
+)
+from windec.cli import build_parser, main
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -143,6 +153,18 @@ def test_eval_auto_window_and_data_file(tmp_path):
     assert len(w) == 2 and all(v >= 3 and v % 2 == 1 for v in w)
 
 
+def test_eval_auto_window_on_external_dataset_is_config_error(tmp_path, capsys):
+    # an external dataset carries no physics to size a window from
+    frames = [BatchTensor(np.full((1, 16, 16, 1), float(t))) for t in range(3)]
+    data = tmp_path / "external.ddld"
+    write_dataset(data, Dataset("external", frames, GridPde(dx=1 / 16, dt=1.0), seed=0))
+    cfg = write_config(tmp_path, {"window": "auto"})
+    assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: window: ") and "explicit window sizes" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_global_baseline_runs(tmp_path):
     cfg = write_config(tmp_path, {"predictor": {"kind": "global", "sample_budget": 64}})
     assert main(["eval", "--config", str(cfg)]) == 0
@@ -234,6 +256,16 @@ def test_probe_domain_too_small_is_runtime_error(capsys):
     assert main(["probe", "--radius", "2", "--layers", "3", "--extent", "5"]) == 2
 
 
+# each footprint is tens of PiB, so an unchecked np.zeros fails at once
+@pytest.mark.parametrize("argv", [
+    ["--radius", "1", "--layers", "100000", "--ndim", "3"],
+    ["--radius", "1", "--layers", "1", "--extent", "100000000", "--ndim", "2"],
+])
+def test_probe_oversized_footprint_is_config_error(capsys, argv):
+    assert main(["probe", *argv]) == 1
+    assert "config error: --radius/--layers/--extent: " in capsys.readouterr().err
+
+
 # --- sizing ------------------------------------------------------------------
 
 
@@ -288,7 +320,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["gen", "--config", str(latin1)]) == 1
     assert "config error: cannot read config" in capsys.readouterr().err
 
-    assert main(["gen"]) == 1  # missing --config
+    assert main(["gen"]) == 1
+    assert "required: --config" in capsys.readouterr().err
     assert main(["nonsense"]) == 1
 
 
@@ -369,3 +402,62 @@ def test_flag_overrides_win_over_config(tmp_path):
     record = json.loads((tmp_path / "out" / "run.json").read_text())
     assert record["seed"] == 9
     assert record["window"] == [5, 5]
+
+
+# --- parser surface --------------------------------------------------------------
+
+_FLAGS = {
+    "gen": {"--config", "--out"},
+    "sizing": {"--config", "--out"},
+    "eval": {"--config", "--out", "--seed", "--window", "--data"},
+    "sweep": {"--config", "--out", "--seed", "--windows", "--freqs"},
+    "bench": {"--out", "--blocks", "--reps", "--bench-window"},
+    "probe": {"--radius", "--layers", "--extent", "--ndim"},
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert declared == _FLAGS
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen", "--seed", "2"),
+    ("gen", "--window", "3,3"),
+    ("sizing", "--seed", "2"),
+    ("sizing", "--window", "3,3"),
+    ("sweep", "--window", "3,3"),
+    ("bench", "--config", "CONFIG"),
+    ("bench", "--seed", "2"),
+    ("bench", "--window", "3"),
+    ("probe", "--config", "CONFIG"),
+    ("probe", "--seed", "2"),
+    ("probe", "--out", "OUT"),
+    ("probe", "--window", "3"),
+])
+def test_undeclared_flag_is_config_error(tmp_path, capsys, command, flag, value):
+    cfg, out = str(write_config(tmp_path)), str(tmp_path / "out")
+    kept = {
+        "gen": ["--config", cfg],
+        "sizing": ["--config", cfg],
+        "sweep": ["--config", cfg, "--windows", "3,5", "--freqs", "1,2"],
+        "bench": ["--out", out, "--blocks", "4,8,16,32", "--reps", "1"],
+        "probe": ["--radius", "1", "--layers", "1"],
+    }[command]
+    value = {"CONFIG": cfg, "OUT": out}.get(value, value)
+    assert main([command, *kept, flag, value]) == 1
+    assert f"config error: unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_abbreviated_flag_is_config_error(tmp_path, capsys):
+    # an abbreviation is not the flag: sweep must not read "--window" as "--windows"
+    out = tmp_path / "out"
+    assert main(["bench", "--out", str(out), "--blocks", "4,8,16,32", "--rep", "1"]) == 1
+    assert "config error: unrecognized arguments: --rep 1" in capsys.readouterr().err
+    assert not out.exists()

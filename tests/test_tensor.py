@@ -47,13 +47,6 @@ def test_layout_row_major_batch_slowest_channels_fastest():
                     assert flat[flat_index(dims, (b, i, j, c))] == t.data[b, i, j, c]
 
 
-def test_from_array_rejects_non_finite():
-    with pytest.raises(DomainError):
-        BatchTensor.from_array([[[np.nan]]])
-    with pytest.raises(DomainError):
-        BatchTensor.from_array([[[np.inf]]])
-
-
 def test_tensor_is_immutable():
     t = BatchTensor(np.zeros((1, 2, 1)))
     with pytest.raises(ValueError):

@@ -1,13 +1,13 @@
 """Window decomposition for local next-step prediction on grid PDE data.
 
-Prediction is pad -> view -> gather -> predict: the grid is zero-padded once,
-every cell's window is read from one strided view of it and copied tile by
-tile into the batch a window-to-center predictor reads, so each cell is
-predicted from exactly its local neighborhood.  ``expand_domain``,
-``chunk_domain``, ``window_patch`` and ``window_offsets`` define the window
-decomposition this computes; the acceptance gate checks them.  Companion
-modules supply PDE data generators, window-size selection rules, stencil
-predictors, and evaluation metrics.
+Prediction zero-pads the grid once and predicts each cell from exactly its
+local neighborhood: a learned stencil as one matmul per window row read in
+place from the padded grid, any other window-to-center predictor from
+windows copied tile by tile out of one strided view into the batch it
+reads.  ``expand_domain``, ``chunk_domain``, ``window_patch`` and
+``window_offsets`` define the window decomposition this computes; the
+acceptance gate checks them.  Companion modules supply PDE data generators,
+window-size selection rules, stencil predictors, and evaluation metrics.
 """
 
 __version__ = "0.1.0"

@@ -346,10 +346,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    extent = args.extent or 2 * args.radius * args.layers + 3
-    # refuse before np.zeros tries to allocate it; a non-positive extent is
-    # left to receptive_field_probe's runtime error
-    if extent > 0 and extent ** args.ndim > MAX_DATASET_VALUES:
+    for flag, value in (("--radius", args.radius), ("--layers", args.layers),
+                        ("--extent", args.extent)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag}: must be >= 1, got {value}")
+    extent = args.extent if args.extent is not None else 2 * args.radius * args.layers + 3
+    # refuse before np.zeros tries to allocate it; an extent too small for the
+    # footprint is left to receptive_field_probe's runtime error
+    if extent ** args.ndim > MAX_DATASET_VALUES:
         raise ConfigError(f"--radius/--layers/--extent: a {args.ndim}-D probe of extent "
                           f"{extent} holds more than {MAX_DATASET_VALUES} values")
     widths = receptive_field_probe(args.radius, args.layers, extent, ndim=args.ndim)

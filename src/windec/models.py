@@ -162,7 +162,9 @@ class LearnedStencil:
 
     Features are the window cells flattened row-major with channels fastest,
     matching the buffer layout of :class:`BatchTensor`; ``weights`` has shape
-    (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,).
+    (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,).  ``integrate_predictions``
+    applies these weights row by row straight from the padded grid, so it
+    does not call :meth:`predict_batch`.
     """
 
     window: WindowSpec

@@ -1,10 +1,13 @@
 """Window prediction over batched grids, and the decomposition it computes.
 
-Prediction is pad -> view -> gather -> predict: ``integrate_predictions``
-zero-pads the grid once by the window radius, takes one strided view of
-every window (``window_view``), copies the windows tile by tile into the
-C-ordered batch the predictor reads, and writes each predicted center
-straight into the output.
+Prediction pads the grid once with zeros by the window radius and writes
+each predicted center straight into the output.  A learned stencil takes
+pad -> row view -> matmul: ``window_rows`` is one strided view of every
+window row (``W_d * N_c`` contiguous values of the padded grid), and each
+tile of cells sums one matmul per leading in-window offset, so no window is
+copied.  Every other predictor takes pad -> view -> gather -> predict: one
+strided view of every window (``window_view``), copied tile by tile into the
+C-ordered batch its ``predict_batch`` reads.
 
 The decomposition is defined by four functions that the acceptance gate
 checks and prediction does not call: ``expand_domain`` zero-pads each extent
@@ -18,7 +21,7 @@ computes.  At offset p the window of block j covers expanded cells
 [p + j*W, p + (j+1)*W) and is centered on original cell i = p + j*W, so
 across all offsets every original cell is the center of exactly one window,
 and that window is the W-box [i - r, i + r] of the grid zero-extended by
-r = (W - 1) / 2: the window the gather takes for cell i.
+r = (W - 1) / 2: the window prediction reads for cell i.
 """
 
 from __future__ import annotations
@@ -40,12 +43,13 @@ from .errors import (
 )
 from .tensor import BatchTensor, pad_zeros
 
-# Most window features copied out per predict_batch call.  A tile this size
-# stays in a core's L2 cache between the gather and the predictor's pass
-# over it.  On a 2-core Xeon with 2 MB of L2 per core, a 4x256^2 frame with
-# a 17x17 window took 121-132 ms with 1 MB tiles, 127-138 ms with 2 MB,
-# 141-158 ms with 4 MB and 154-175 ms with 0.5 MB (medians of 5, three
-# rounds); an untiled gather there would need ~600 MB.
+# Most bytes one tile covers: window features copied out per predict_batch
+# call (identity, upwind, diffusion and outside predictors), or window rows a
+# learned stencil reads in place.  On a 2-core Xeon with 2 MB of L2 per core,
+# a 4x256^2 frame took, with caps of 0.25/0.5/1/2/4 MB (three rounds of
+# medians of 5): identity on 5x5 windows 13-14/12/10-11/10-12/13-15 ms and on
+# 17x17 windows 99-103/79-81/61-63/58-61/63-66 ms (upwind and diffusion
+# alike), a learned 17x17 stencil 55-105/55-57/51-56/50/55-57 ms.
 TILE_BYTES = 1 << 20
 
 
@@ -187,6 +191,25 @@ def window_view(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return np.moveaxis(view, d + 1, -1)
 
 
+def window_rows(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Read-only strided view of every window row of a ``(N_b, N_1..N_d, N_c)`` array.
+
+    A window row is the run of ``W_d * N_c`` values that a window covers
+    along the last spatial axis, channels fastest; in a C-ordered array it is
+    contiguous.  The result has shape
+    ``(N_b, N_1-W_1+1 .., N_d-W_d+1, W_1..W_{d-1}, W_d * N_c)`` and
+    ``[b, s_1..s_d, k_1..k_{d-1}, :]`` is row ``k_1..k_{d-1}`` of the window
+    at ``s``, equal to ``window_view(a, sizes)[b, s, k].ravel()``.  Nothing is
+    copied if ``a`` is C-ordered.
+    """
+    d = len(sizes)
+    nb, *spatial, nc = a.shape
+    runs = a.reshape(nb, *spatial[:-1], spatial[-1] * nc)
+    view = sliding_window_view(runs, (*sizes[:-1], sizes[-1] * nc), axis=tuple(range(1, d + 1)))
+    # a window row starts at every N_c-th value along the last axis: at a cell
+    return view[(slice(None),) * d + (slice(None, None, nc),)]
+
+
 def _tiles(spatial: Sequence[int], max_cells: int) -> Iterator[tuple]:
     """Spatial index tuples that partition the grid into tiles of <= max_cells.
 
@@ -205,22 +228,70 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
     """Predict the next field for every cell of ``t`` from exactly its own window.
 
     The window of a cell is the W-box around it in ``t`` zero-padded by
-    ``w.radius``.  Windows are copied out of one strided view in tiles of at
-    most ``TILE_BYTES`` of features, one batch item at a time, and passed to
+    ``w.radius``.  A :class:`~windec.models.LearnedStencil` is applied
+    straight from the padded grid, one matmul per window row
+    (:func:`_apply_stencil`), and no window is copied.  Any other predictor
+    gets its windows copied out of one strided view in tiles of at most
+    ``TILE_BYTES`` of features, one batch item at a time, and passed to
     ``predictor.predict_batch`` as a private read-only ``(M, W_1..W_d, N_c)``
     batch; each predicted center is written to its cell.  A tile is copied
-    once and only one tile is alive at a time.  Raises
-    :class:`PredictorContractError` if the predictor returns the wrong shape
-    or a non-finite value.
+    once and only one tile is alive at a time.
+
+    Raises :class:`ShapeMismatchError` if a stencil's window or channel count
+    differs from ``w`` or ``t``, and :class:`PredictorContractError` if the
+    predictor returns the wrong shape or a non-finite value.
     """
+    # imported here, not at the top: models imports this module
+    from .models import LearnedStencil
+
     if w.ndim != t.ndim:
         raise RankError(f"window rank {w.ndim} does not match grid rank {t.ndim}")
-    d, nc = t.ndim, t.channels
-    windows = window_view(pad_zeros(t, w.radius, w.radius).data, w.sizes)
-    max_cells = max(1, TILE_BYTES // (w.cells * nc * windows.itemsize))
+    padded = pad_zeros(t, w.radius, w.radius).data
     out = np.empty(t.dims)
-    for b in range(t.batch):
-        for tile in _tiles(t.spatial, max_cells):
+    if isinstance(predictor, LearnedStencil):
+        _apply_stencil(padded, w, predictor, out)
+    else:
+        _predict_windows(padded, w, predictor, out)
+    return BatchTensor(out)
+
+
+def _apply_stencil(padded: np.ndarray, w: WindowSpec, stencil, out: np.ndarray) -> None:
+    """Write ``stencil``'s prediction for every cell of ``out`` from ``padded``.
+
+    A cell's prediction is the bias plus, over the prod(W_1..W_{d-1}) leading
+    offsets k, its window row k times the matching ``(W_d * N_c, N_c)`` block
+    of the weights.  Each matmul reads its rows in place from
+    :func:`window_rows`; tiles are capped at ``TILE_BYTES`` of rows.
+    """
+    nc = out.shape[-1]
+    if stencil.window != w or stencil.channels != nc:
+        raise ShapeMismatchError(
+            f"stencil {stencil.window.sizes} x {stencil.channels} does not match "
+            f"windows {w.sizes} x {nc}"
+        )
+    rows = window_rows(padded, w.sizes)
+    leading = list(itertools.product(*(range(s) for s in w.sizes[:-1])))
+    kernel = stencil.weights.reshape(len(leading), -1, nc)
+    max_cells = max(1, TILE_BYTES // (rows.shape[-1] * rows.itemsize))
+    for b in range(out.shape[0]):
+        for tile in _tiles(out.shape[1:-1], max_cells):
+            idx = (b, *tile)
+            tile_rows = rows[idx]
+            target = out[idx]
+            target[...] = stencil.bias
+            for k, block in zip(leading, kernel):
+                target += tile_rows[(..., *k, slice(None))] @ block
+            if not np.isfinite(target).all():
+                raise PredictorContractError("stencil predicted NaN or Inf")
+
+
+def _predict_windows(padded: np.ndarray, w: WindowSpec, predictor, out: np.ndarray) -> None:
+    """Write ``predictor``'s prediction for every cell of ``out``, tile by tile."""
+    d, nc = w.ndim, out.shape[-1]
+    windows = window_view(padded, w.sizes)
+    max_cells = max(1, TILE_BYTES // (w.cells * nc * windows.itemsize))
+    for b in range(out.shape[0]):
+        for tile in _tiles(out.shape[1:-1], max_cells):
             idx = (b, *tile)
             # the default order="K" copy keeps the view's axis order, which is
             # not C order, so the reshape (or BatchTensor) would copy it again
@@ -237,7 +308,6 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
             target[...] = got.data.reshape(target.shape)
             # let this tile go before the next one is gathered
             del batch, got, target
-    return BatchTensor(out)
 
 
 def apply_dense_stencil(field: np.ndarray, radius: int) -> np.ndarray:

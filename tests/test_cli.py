@@ -256,6 +256,20 @@ def test_probe_domain_too_small_is_runtime_error(capsys):
     assert main(["probe", "--radius", "2", "--layers", "3", "--extent", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--radius", "0", "--layers", "1"], "--radius"),
+    (["--radius", "-2", "--layers", "1"], "--radius"),
+    (["--radius", "1", "--layers", "0"], "--layers"),
+    (["--radius", "1", "--layers", "1", "--extent", "0"], "--extent"),
+    (["--radius", "1", "--layers", "1", "--extent", "-5"], "--extent"),
+])
+def test_probe_values_below_one_are_config_errors(capsys, argv, flag):
+    assert main(["probe", *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: {flag}: must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
 # each footprint is tens of PiB, so an unchecked np.zeros fails at once
 @pytest.mark.parametrize("argv", [
     ["--radius", "1", "--layers", "100000", "--ndim", "3"],

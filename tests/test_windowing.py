@@ -29,10 +29,11 @@ from windec import (
     window_patch,
 )
 from windec import windowing
-from windec.windowing import apply_dense_stencil
+from windec.windowing import apply_dense_stencil, window_rows, window_view
 from oracles import (
     brute_offsets,
     chunk_batch_index,
+    convolve_stencil_full,
     expansion_formula,
     gather_window,
     offset_sweep_integrate,
@@ -331,6 +332,129 @@ def test_integrate_matches_offset_sweep_oracle(monkeypatch, kind, sizes, extents
         assert np.max(np.abs(got - want)) <= 1e-12
     else:
         assert np.array_equal(got, want)
+
+
+# --- learned stencils: pad -> row view -> matmul ------------------------------
+
+
+def _random_stencil(rng, w, channels, scale=1.0):
+    weights = scale * rng.standard_normal((w.cells * channels, channels))
+    return LearnedStencil(w, weights, rng.standard_normal(channels), 0.0)
+
+
+@pytest.mark.parametrize("sizes,extents,channels", [
+    ((5,), (7,), 1),
+    ((3, 5), (4, 6), 2),
+    ((3, 3, 5), (3, 4, 7), 2),
+])
+def test_window_rows_are_read_only_views_of_window_rows(sizes, extents, channels):
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((2, *extents, channels))
+    rows = window_rows(a, sizes)
+    windows = window_view(a, sizes)
+    assert rows.shape == (*windows.shape[:-len(sizes) - 1], *sizes[:-1],
+                          sizes[-1] * channels)
+    assert np.array_equal(rows, windows.reshape(rows.shape))
+    assert np.shares_memory(rows, a)
+    assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("sizes,extents,channels", [
+    ((5,), (13,), 1),
+    ((7,), (11,), 2),
+    ((3, 5), (9, 12), 1),
+    ((5, 3), (7, 9), 2),
+    ((3, 3, 5), (5, 4, 7), 1),
+    ((3, 5, 3), (5, 6, 5), 2),
+    # windows wider than the grid: r >= N_i on every axis
+    ((9,), (3,), 2),
+    ((7, 9), (3, 4), 1),
+    ((5, 5, 7), (1, 2, 3), 2),
+])
+# whole: one tile per batch item; rows: two whole rows of the first axis per
+# tile, the last one ragged where that extent is odd; pieces: runs of N_d - 1
+# cells along the last axis, so each row ends in a ragged piece; cells: one
+# cell per tile
+@pytest.mark.parametrize("tiling", ["whole", "rows", "pieces", "cells"])
+def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, channels,
+                                               tiling):
+    w = WindowSpec(sizes)
+    tile_cells = {
+        "whole": None,
+        "rows": 2 * math.prod(extents[1:]),
+        "pieces": max(1, extents[-1] - 1),
+        "cells": 1,
+    }[tiling]
+    if tile_cells is not None:
+        # a stencil tile is capped by the bytes of its window rows
+        monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * channels * 8)
+    rng = np.random.default_rng(16)
+    t = rand_tensor(rng, (2, *extents, channels))
+    st = _random_stencil(rng, w, channels)
+    got = integrate_predictions(t, w, st).data
+    want = convolve_stencil_full(t.data, st.weights, st.bias, sizes)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_stencil_path_does_not_call_predict_batch(monkeypatch):
+    calls = []
+    original = LearnedStencil.predict_batch
+
+    def spy(self, windows):
+        calls.append(windows.batch)
+        return original(self, windows)
+
+    monkeypatch.setattr(LearnedStencil, "predict_batch", spy)
+    rng = np.random.default_rng(17)
+    w = WindowSpec((5, 3))
+    t = rand_tensor(rng, (2, 9, 8, 2))
+    st = _random_stencil(rng, w, 2)
+    got = integrate_predictions(t, w, st).data
+    assert calls == []
+    want = convolve_stencil_full(t.data, st.weights, st.bias, (5, 3))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("stencil_sizes,stencil_channels", [
+    ((5, 3), 1),   # window differs from w
+    ((3, 3), 2),   # channel count differs from t
+])
+def test_stencil_window_or_channels_mismatch_is_shape_error(stencil_sizes,
+                                                            stencil_channels):
+    rng = np.random.default_rng(18)
+    st = _random_stencil(rng, WindowSpec(stencil_sizes), stencil_channels)
+    t = rand_tensor(rng, (1, 9, 9, 1))
+    with pytest.raises(ShapeMismatchError):
+        integrate_predictions(t, WindowSpec((3, 3)), st)
+
+
+def test_stencil_non_finite_prediction_is_contract_error():
+    rng = np.random.default_rng(19)
+    w = WindowSpec((3, 3))
+    # finite weights that overflow on inputs of order 10
+    st = LearnedStencil(w, np.full((w.cells, 1), 1e308), np.zeros(1), 0.0)
+    t = BatchTensor(10.0 + rng.random((1, 9, 9, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PredictorContractError):
+            integrate_predictions(t, w, st)
+
+
+def test_stencil_holds_no_tile_of_windows():
+    # the gather would hold a whole TILE_BYTES tile of copied windows
+    w = WindowSpec((17, 17))
+    rng = np.random.default_rng(20)
+    t = rand_tensor(rng, (1, 256, 256, 1))
+    st = _random_stencil(rng, w, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = integrate_predictions(t, w, st)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.dims == t.dims
+    padded = (256 + 16) ** 2 * 8
+    assert peak - padded - t.data.nbytes < 0.25 * windowing.TILE_BYTES
 
 
 # --- receptive field probe ----------------------------------------------------

@@ -1,13 +1,12 @@
 """Window decomposition for local next-step prediction on grid PDE data.
 
 Prediction zero-pads the grid once and predicts each cell from exactly its
-local neighborhood: a learned stencil as one matmul per window row read in
-place from the padded grid, any other window-to-center predictor from
-windows copied tile by tile out of one strided view into the batch it
-reads.  ``expand_domain``, ``chunk_domain``, ``window_patch`` and
-``window_offsets`` define the window decomposition this computes; the
-acceptance gate checks them.  Companion modules supply PDE data generators,
-window-size selection rules, stencil predictors, and evaluation metrics.
+local neighborhood: every window-to-center predictor reads its windows in
+place, tile by tile, from one strided view of the padded grid.
+``expand_domain``, ``chunk_domain``, ``window_patch`` and ``window_offsets``
+define the window decomposition this computes; the acceptance gate checks
+them.  Companion modules supply PDE data generators, window-size selection
+rules, stencil predictors, and evaluation metrics.
 """
 
 __version__ = "0.1.0"

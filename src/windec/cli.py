@@ -133,6 +133,9 @@ def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpe
         return UpwindStencil(ds.pde, w)
     if kind == "diffusion":
         return DiffusionStencil(ds.pde, w)
+    if not train_pairs:
+        raise ConfigError(f"split_fraction: {cfg.split_fraction} of {ds.n_steps} frame pairs "
+                          f"leaves no training pair to fit predictor.kind {kind!r}")
     fit = dict(ridge_lambda=cfg.predictor.ridge_lambda,
                sample_budget=cfg.predictor.sample_budget,
                seed=cfg.seed,
@@ -391,7 +394,7 @@ def _load_effective_config(args) -> ExperimentConfig:
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "window", None):
+    if getattr(args, "window", None) is not None:
         overrides["window"] = parse_number_list(args.window, "--window")
     return load_config(args.config, overrides)
 

@@ -69,6 +69,12 @@ def _nonnegative(value, where: str) -> float:
     return v
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def window_size(value, where: str) -> int:
     """One window extent: an odd integer of at least 3 cells."""
     w = _integer(value, where, 3)
@@ -270,7 +276,7 @@ class ExperimentConfig:
             predictor=PredictorConfig.parse(raw.get("predictor", {})),
             split_fraction=split,
             seed=_integer(raw.get("seed", 0), "seed", 0),
-            out_dir=str(raw.get("out_dir", "results")),
+            out_dir=_string(raw.get("out_dir", "results"), "out_dir"),
         )
 
     def snapshot(self) -> dict:

@@ -1,7 +1,9 @@
 """Window-to-center predictors and evaluation metrics.
 
-A predictor maps a batch of windows ``(M, W_1..W_d, N_c)`` to the predicted
-next values at the window centers ``(M, 1..1, N_c)``.  Exact stencil oracles
+A predictor's ``predict_windows`` maps windows ``(..., W_1..W_d, N_c)``, with
+any leading axes, to the predicted next values at their centers
+``(..., N_c)``; it reads the read-only strided windows that
+``integrate_predictions`` hands it in place.  Exact stencil oracles
 (upwind transport, explicit diffusion) implement known update rules; the
 learned stencil is a ridge-regressed linear filter over the whole window,
 and the global linear model is the deliberately non-local baseline that maps
@@ -13,6 +15,7 @@ Every predictor declares its dependence radius: cells outside the central
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import struct
@@ -43,20 +46,25 @@ STENCIL_VERSION = 1
 
 @runtime_checkable
 class Predictor(Protocol):
-    """Contract for anything that predicts window centers."""
+    """Contract for anything that predicts window centers.
+
+    ``predict_windows`` works like a gufunc with core dimensions
+    ``(W_1..W_d, N_c) -> (N_c)``: it maps a read-only ``(..., W_1..W_d, N_c)``
+    array of windows to ``(..., N_c)`` centers.  ``integrate_predictions``
+    passes strided views of the padded grid, so a predictor that copies its
+    windows copies up to prod(W_1..W_{d-1}) * ``TILE_BYTES`` per call.
+    """
 
     radius: tuple[int, ...]
 
-    def predict_batch(self, windows: BatchTensor) -> BatchTensor: ...
+    def predict_windows(self, windows: np.ndarray) -> np.ndarray: ...
 
 
-def _center_index(windows: BatchTensor) -> tuple:
-    return (slice(None), *((w - 1) // 2 for w in windows.spatial), slice(None))
-
-
-def _as_center_batch(values: np.ndarray, ndim: int) -> BatchTensor:
-    m, nc = values.shape
-    return BatchTensor(np.ascontiguousarray(values.reshape(m, *(1,) * ndim, nc)))
+def _check_windows(windows: np.ndarray, window: WindowSpec, channels: int | None = None) -> None:
+    """Windows must end in ``window``'s sizes and, if given, ``channels``."""
+    want = (*window.sizes, windows.shape[-1] if channels is None else channels)
+    if windows.shape[-len(want):] != want:
+        raise ShapeMismatchError(f"windows {windows.shape} do not match {want}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,9 @@ class IdentityPredictor:
     def radius(self) -> tuple[int, ...]:
         return (0,) * self.ndim
 
-    def predict_batch(self, windows: BatchTensor) -> BatchTensor:
-        centers = windows.data[_center_index(windows)]
-        return _as_center_batch(centers, windows.ndim)
+    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        sizes = windows.shape[-self.ndim - 1:-1]
+        return windows[(..., *((w - 1) // 2 for w in sizes), slice(None))]
 
 
 class UpwindStencil:
@@ -110,18 +118,15 @@ class UpwindStencil:
             else:
                 self._taps.append([(low, 1.0 - frac), (low + 1, frac)])
 
-    def predict_batch(self, windows: BatchTensor) -> BatchTensor:
-        if windows.spatial != self.window.sizes:
-            raise ShapeMismatchError(
-                f"windows {windows.spatial} do not match {self.window.sizes}"
-            )
-        acc = np.zeros((windows.batch, windows.channels))
+    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        _check_windows(windows, self.window)
+        acc = np.zeros((*windows.shape[:-self.window.ndim - 1], windows.shape[-1]))
         combos = [((), 1.0)]
         for taps in self._taps:
             combos = [(idx + (i,), wgt * tw) for idx, wgt in combos for i, tw in taps]
         for idx, wgt in combos:
-            acc += wgt * windows.data[(slice(None), *idx, slice(None))]
-        return _as_center_batch(acc, windows.ndim)
+            acc += wgt * windows[(..., *idx, slice(None))]
+        return acc
 
 
 class DiffusionStencil:
@@ -138,22 +143,18 @@ class DiffusionStencil:
         self.window = window
         self.radius = (1,) * d
 
-    def predict_batch(self, windows: BatchTensor) -> BatchTensor:
-        if windows.spatial != self.window.sizes:
-            raise ShapeMismatchError(
-                f"windows {windows.spatial} do not match {self.window.sizes}"
-            )
-        d = windows.ndim
-        center = tuple((w - 1) // 2 for w in windows.spatial)
-        mid = windows.data[(slice(None), *center, slice(None))]
+    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        _check_windows(windows, self.window)
+        d = self.window.ndim
+        center = tuple((w - 1) // 2 for w in self.window.sizes)
+        mid = windows[(..., *center, slice(None))]
         nbsum = np.zeros_like(mid)
         for axis in range(d):
             for step in (-1, 1):
                 idx = list(center)
                 idx[axis] += step
-                nbsum += windows.data[(slice(None), *idx, slice(None))]
-        out = mid + self.lam * (nbsum - 2 * d * mid)
-        return _as_center_batch(out, d)
+                nbsum += windows[(..., *idx, slice(None))]
+        return mid + self.lam * (nbsum - 2 * d * mid)
 
 
 @dataclass(frozen=True)
@@ -162,9 +163,9 @@ class LearnedStencil:
 
     Features are the window cells flattened row-major with channels fastest,
     matching the buffer layout of :class:`BatchTensor`; ``weights`` has shape
-    (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,).  ``integrate_predictions``
-    applies these weights row by row straight from the padded grid, so it
-    does not call :meth:`predict_batch`.
+    (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,).  :meth:`predict_windows`
+    applies them one window row (``W_d * N_c`` features) at a time, so it reads
+    strided windows in place.
     """
 
     window: WindowSpec
@@ -190,15 +191,19 @@ class LearnedStencil:
     def radius(self) -> tuple[int, ...]:
         return self.window.radius
 
-    def predict_batch(self, windows: BatchTensor) -> BatchTensor:
-        if windows.spatial != self.window.sizes or windows.channels != self.channels:
-            raise ShapeMismatchError(
-                f"windows {windows.dims} do not match stencil "
-                f"{self.window.sizes} x {self.channels}"
-            )
-        flat = windows.data.reshape(windows.batch, -1)
-        out = flat @ self.weights + self.bias
-        return _as_center_batch(out, windows.ndim)
+    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Bias plus, over the prod(W_1..W_{d-1}) leading in-window offsets k,
+        window row k times its ``(W_d * N_c, N_c)`` block of the weights."""
+        _check_windows(windows, self.window, self.channels)
+        sizes, nc = self.window.sizes, self.channels
+        # merging W_d and N_c is a view when the windows come from a C-ordered grid
+        rows = windows.reshape(*windows.shape[:-2], -1)
+        kernel = self.weights.reshape(*sizes[:-1], -1, nc)
+        out = np.empty((*windows.shape[:-len(sizes) - 1], nc))
+        out[...] = self.bias
+        for k in itertools.product(*(range(s) for s in sizes[:-1])):
+            out += rows[(..., *k, slice(None))] @ kernel[k]
+        return out
 
 
 @dataclass(frozen=True)
@@ -272,6 +277,22 @@ def _solve_ridge(
     return w, bias
 
 
+def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarray:
+    """The frame pairs (t, t + 1) to train on: all of them, or ``pair_indices``."""
+    if ds.n_steps < 1:
+        raise DomainError("training needs at least 2 frames")
+    if pair_indices is None:
+        return np.arange(ds.n_steps)
+    pairs = np.asarray(pair_indices)
+    if pairs.size == 0:
+        raise DomainError("no training pairs")
+    if pairs.ndim != 1 or pairs.dtype.kind not in "iu":
+        raise DomainError(f"pair indices must be a list of integers, got {pair_indices!r}")
+    if pairs.min() < 0 or pairs.max() >= ds.n_steps:
+        raise DomainError(f"pair indices out of range [0, {ds.n_steps})")
+    return pairs
+
+
 def sample_training_pairs(
     ds: Dataset,
     w: WindowSpec,
@@ -285,17 +306,13 @@ def sample_training_pairs(
     positions at least half a window from every boundary, so each feature
     vector is a fully in-domain window.
     """
-    if ds.n_steps < 1:
-        raise DomainError("training needs at least 2 frames")
+    pairs = _training_pairs(ds, pair_indices)
     if w.ndim != ds.grid.ndim:
         raise ShapeMismatchError(
             f"window rank {w.ndim} does not match grid rank {ds.grid.ndim}"
         )
     if sample_budget < 1:
         raise DomainError("sample_budget must be >= 1")
-    pairs = np.arange(ds.n_steps) if pair_indices is None else np.asarray(pair_indices)
-    if pairs.size == 0 or pairs.min() < 0 or pairs.max() >= ds.n_steps:
-        raise DomainError("pair indices out of range")
     radius = w.radius
     lows = radius
     highs = tuple(n - r for n, r in zip(ds.grid.spatial, radius))
@@ -349,11 +366,9 @@ def fit_global_linear(
     the usable sample count is capped by the data; the budget subsamples
     when more pairs are available than requested.
     """
-    if ds.n_steps < 1:
-        raise DomainError("training needs at least 2 frames")
+    pairs = _training_pairs(ds, pair_indices)
     if sample_budget < 1:
         raise DomainError("sample_budget must be >= 1")
-    pairs = list(range(ds.n_steps)) if pair_indices is None else list(pair_indices)
     combos = [(t, b) for t in pairs for b in range(ds.grid.batch)]
     rng = np.random.default_rng(seed)
     if len(combos) > sample_budget:

@@ -179,6 +179,12 @@ def split_stack_patch(t, batch, blocks):
     return t
 
 
+def predict_centers(predictor, windows):
+    """A predictor's centers for a window batch, as a ``(M, 1..1, N_c)`` batch."""
+    centers = predictor.predict_windows(windows.data)
+    return BatchTensor(centers.reshape(windows.batch, *(1,) * windows.ndim, windows.channels))
+
+
 def offset_sweep_integrate(t, w, predictor):
     """Full-field prediction by sweeping every in-window decomposition offset.
 
@@ -190,7 +196,7 @@ def offset_sweep_integrate(t, w, predictor):
     canvas = np.zeros((t.batch, *rec.step1, t.channels))
     for p in brute_offsets(w.sizes):
         windows = split_stack_chunk(slice_region(expanded, p, rec.step1), rec.blocks)
-        lattice = split_stack_patch(predictor.predict_batch(windows), t.batch, rec.blocks)
+        lattice = split_stack_patch(predict_centers(predictor, windows), t.batch, rec.blocks)
         idx = (slice(None), *(slice(pi, None, wi) for pi, wi in zip(p, w.sizes)), slice(None))
         canvas[idx] = lattice.data
     return canvas[(slice(None), *(slice(0, n) for n in rec.original), slice(None))]

@@ -375,11 +375,39 @@ def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field)
     (["eval", "--window", "4,4"], "window[0]"),
     (["sweep", "--windows", "3.7,5", "--freqs", "1,2"], "--windows[0]"),
     (["eval", "--window", "5"], "window: rank 1"),
+    (["eval", "--window", ""], "--window: empty list"),
 ])
 def test_bad_flag_overrides_are_config_errors(tmp_path, capsys, argv, field):
     cfg = write_config(tmp_path)
     assert main([*argv, "--config", str(cfg)]) == 1
     assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out_dir", [None, 5, ["out"]])
+def test_non_string_out_dir_is_config_error(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"out_dir": out_dir})
+    for command in ("gen", "eval", "sizing"):
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "config error: out_dir: expected a string" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+# a fitted predictor needs at least one training pair: floor(n_pairs * split_fraction)
+@pytest.mark.parametrize("argv, kind, n_steps, split", [
+    (["eval"], "global", 1, 0.5),
+    (["eval"], "stencil", 1, 0.5),
+    (["eval"], "stencil", 3, 0.2),
+    (["sweep", "--windows", "3,5", "--freqs", "1,2"], "stencil", 3, 0.2),
+])
+def test_split_without_training_pairs_is_config_error(tmp_path, capsys, argv, kind,
+                                                      n_steps, split):
+    cfg = write_config(tmp_path, {"dataset": {"n_steps": n_steps},
+                                  "predictor": {"kind": kind, "sample_budget": 64},
+                                  "split_fraction": split})
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert "config error: split_fraction: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,6 +7,7 @@ from windec import (
     BatchTensor,
     Dataset,
     DegenerateTruth,
+    DomainError,
     DiffusionStencil,
     GridPde,
     IdentityPredictor,
@@ -33,6 +34,7 @@ from windec.models import _solve_ridge
 from oracles import (
     convolve_stencil_full,
     diffusion_full,
+    predict_centers,
     ridge_svd,
     sample_pairs_loop,
     upwind_full,
@@ -51,7 +53,7 @@ def test_upwind_zero_speed_is_identity():
     pred = UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.0, 0.0)), w)
     rng = np.random.default_rng(0)
     windows = rand_windows(rng, 5, (3, 3))
-    out = pred.predict_batch(windows)
+    out = predict_centers(pred, windows)
     centers = windows.data[:, 1, 1, :]
     assert np.array_equal(out.data.reshape(5, 1), centers)
 
@@ -61,7 +63,7 @@ def test_upwind_integer_shift_is_exact_lookup():
     pred = UpwindStencil(GridPde(dx=0.5, dt=1.0, c=(1.0,)), w)  # shift 2 cells
     rng = np.random.default_rng(1)
     windows = rand_windows(rng, 4, (7,))
-    out = pred.predict_batch(windows)
+    out = predict_centers(pred, windows)
     assert np.array_equal(out.data.reshape(4, 1), windows.data[:, 3 - 2, :])
 
 
@@ -85,14 +87,14 @@ def test_upwind_full_domain_equivalence():
 def test_diffusion_uniform_window_unchanged():
     pred = DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.2), WindowSpec((3, 3)))
     windows = BatchTensor(np.full((3, 3, 3, 1), 1.25))
-    assert np.all(pred.predict_batch(windows).data == 1.25)
+    assert np.all(predict_centers(pred, windows).data == 1.25)
 
 
 def test_diffusion_zero_alpha_is_identity():
     pred = DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.0), WindowSpec((3, 3)))
     rng = np.random.default_rng(3)
     windows = rand_windows(rng, 4, (3, 3))
-    assert np.array_equal(pred.predict_batch(windows).data.reshape(4, 1),
+    assert np.array_equal(predict_centers(pred, windows).data.reshape(4, 1),
                           windows.data[:, 1, 1, :])
 
 
@@ -124,7 +126,7 @@ def test_predictions_ignore_cells_outside_declared_radius(build):
     pred = build(w)
     rng = np.random.default_rng(5)
     windows = rand_windows(rng, 6, (5, 5))
-    base = pred.predict_batch(windows).data
+    base = predict_centers(pred, windows).data
 
     center = np.array([2, 2])
     radius = np.array(pred.radius)
@@ -133,7 +135,7 @@ def test_predictions_ignore_cells_outside_declared_radius(build):
         for j in range(5):
             if np.any(np.abs(np.array([i, j]) - center) > radius):
                 noisy[:, i, j, :] = rng.standard_normal((6, 1))
-    out = pred.predict_batch(BatchTensor(noisy)).data
+    out = predict_centers(pred, BatchTensor(noisy)).data
     assert np.array_equal(out, base)
 
 
@@ -328,6 +330,18 @@ def test_global_linear_without_ridge_raises():
     ds = advection_dataset(batch=4)
     with pytest.raises(SingularSystem):
         fit_global_linear(ds, ridge_lambda=0.0, seed=0, pair_indices=[0, 2, 4, 6])
+
+
+@pytest.mark.parametrize("fit", [
+    lambda ds, pairs: fit_stencil(ds, WindowSpec((3, 3)), sample_budget=64, pair_indices=pairs),
+    lambda ds, pairs: fit_global_linear(ds, sample_budget=64, pair_indices=pairs),
+])
+# empty, past the last pair, negative (would wrap to the last frame), not integers
+@pytest.mark.parametrize("pairs", [[], [99], [-1], [0, 8], [0.5], [[0, 1]]])
+def test_fits_reject_bad_pair_indices(fit, pairs):
+    ds = advection_dataset(extents=(12, 12))
+    with pytest.raises(DomainError):
+        fit(ds, pairs)
 
 
 def test_local_beats_global_on_advection():

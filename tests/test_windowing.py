@@ -29,7 +29,7 @@ from windec import (
     window_patch,
 )
 from windec import windowing
-from windec.windowing import apply_dense_stencil, window_rows, window_view
+from windec.windowing import apply_dense_stencil, window_view
 from oracles import (
     brute_offsets,
     chunk_batch_index,
@@ -228,7 +228,7 @@ def test_integrate_rejects_bad_predictor_output():
     class Wrong:
         radius = (0, 0)
 
-        def predict_batch(self, windows):
+        def predict_windows(self, windows):
             return windows  # full windows instead of centers
 
     t = BatchTensor(np.zeros((1, 9, 9, 1)))
@@ -240,10 +240,10 @@ def test_integrate_rejects_non_finite_predictor_output():
     class NaNAtOneCell:
         radius = (0, 0)
 
-        def predict_batch(self, windows):
-            out = np.zeros((windows.batch, 1, 1, windows.channels))
-            out[-1, 0, 0, 0] = np.nan
-            return BatchTensor(out)
+        def predict_windows(self, windows):
+            out = np.zeros((*windows.shape[:-3], windows.shape[-1]))
+            out.flat[-1] = np.nan
+            return out
 
     t = BatchTensor(np.zeros((1, 9, 9, 1)))
     with pytest.raises(PredictorContractError):
@@ -256,11 +256,11 @@ def test_integrate_hands_predictor_private_read_only_windows(monkeypatch):
     class Recorder:
         radius = (0, 0)
 
-        def predict_batch(self, windows):
-            seen.append(windows.data)
-            return IdentityPredictor(2).predict_batch(windows)
+        def predict_windows(self, windows):
+            seen.append(windows)
+            return IdentityPredictor(2).predict_windows(windows)
 
-    monkeypatch.setattr(windowing, "TILE_BYTES", 8 * 9 * 20)
+    monkeypatch.setattr(windowing, "TILE_BYTES", 8 * 3 * 20)
     t = rand_tensor(np.random.default_rng(12), (2, 9, 7, 1))
     assert integrate_predictions(t, WindowSpec((3, 3)), Recorder()).equals(t)
     assert len(seen) == 2 * 5  # 20 cells per tile: 9 rows of 7 in runs of 2
@@ -276,13 +276,21 @@ def test_integrate_hands_predictor_private_read_only_windows(monkeypatch):
 ])
 def test_integrate_copies_each_tile_once_and_keeps_one_alive(monkeypatch, extents, sizes,
                                                              tile_cells):
-    # a second copy of a tile, or the previous tile still alive while the next
-    # is gathered, each add a whole tile to the peak
+    # a predictor that copies its windows copies one whole tile per call; a
+    # second copy, or the previous tile still alive while the next is
+    # predicted, each add a whole tile to the peak
     w = WindowSpec(sizes)
     tile_bytes = tile_cells * w.cells * 8
-    monkeypatch.setattr(windowing, "TILE_BYTES", tile_bytes)
+    monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * 8)
     t = rand_tensor(np.random.default_rng(14), (1, *extents, 1))
-    pred = IdentityPredictor(w.ndim)
+
+    class CopyingIdentity:
+        radius = (0,) * w.ndim
+
+        def predict_windows(self, windows):
+            return IdentityPredictor(w.ndim).predict_windows(np.array(windows)).copy()
+
+    pred = CopyingIdentity()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -322,7 +330,7 @@ def test_integrate_matches_offset_sweep_oracle(monkeypatch, kind, sizes, extents
                                                channels, tile_cells):
     w = WindowSpec(sizes)
     if tile_cells is not None:
-        monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * w.cells * channels * 8)
+        monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * channels * 8)
     rng = np.random.default_rng(13)
     t = rand_tensor(rng, (2, *extents, channels))
     pred = _oracle_predictor(kind, w, channels, rng)
@@ -334,7 +342,39 @@ def test_integrate_matches_offset_sweep_oracle(monkeypatch, kind, sizes, extents
         assert np.array_equal(got, want)
 
 
-# --- learned stencils: pad -> row view -> matmul ------------------------------
+@st.composite
+def perturbed_cell(draw):
+    d = draw(st.integers(1, 3))
+    sizes = tuple(draw(st.sampled_from([3, 5])) for _ in range(d))
+    extents = tuple(draw(st.integers(1, 7)) for _ in range(d))
+    channels = draw(st.integers(1, 2))
+    dims = (draw(st.integers(1, 2)), *extents, channels)
+    cell = tuple(draw(st.integers(0, n - 1)) for n in dims)
+    delta = draw(st.sampled_from([-1.0, 1e-3, 7.5]))
+    return WindowSpec(sizes), dims, cell, delta, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])
+@given(case=perturbed_cell())
+def test_perturbing_one_cell_changes_only_outputs_within_radius(kind, case):
+    # the strict-locality claim on the integrated field, under zero padding:
+    # outside the Chebyshev box of the predictor's radius around the
+    # perturbed cell every output is bit-identical
+    w, dims, cell, delta, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(dims)
+    pred = _oracle_predictor(kind, w, dims[-1], rng)
+    bumped = t.copy()
+    bumped[cell] += delta
+    base = integrate_predictions(BatchTensor(t), w, pred).data
+    out = integrate_predictions(BatchTensor(bumped), w, pred).data
+    near = np.zeros(dims, dtype=bool)
+    box = (cell[0], *(slice(max(0, c - r), c + r + 1) for c, r in zip(cell[1:], pred.radius)))
+    near[box] = True
+    assert np.array_equal(out[~near], base[~near])
+
+
+# --- learned stencils: window rows read in place ------------------------------
 
 
 def _random_stencil(rng, w, channels, scale=1.0):
@@ -350,11 +390,14 @@ def _random_stencil(rng, w, channels, scale=1.0):
 def test_window_rows_are_read_only_views_of_window_rows(sizes, extents, channels):
     rng = np.random.default_rng(15)
     a = rng.standard_normal((2, *extents, channels))
-    rows = window_rows(a, sizes)
     windows = window_view(a, sizes)
-    assert rows.shape == (*windows.shape[:-len(sizes) - 1], *sizes[:-1],
-                          sizes[-1] * channels)
-    assert np.array_equal(rows, windows.reshape(rows.shape))
+    # a tile as integrate_predictions hands it over: one batch item, a run of
+    # cells along the first axis
+    tile = windows[1, :2]
+    rows = tile.reshape(*tile.shape[:-2], -1)
+    assert rows.shape == (*tile.shape[:-len(sizes) - 1], *sizes[:-1], sizes[-1] * channels)
+    for idx in np.ndindex(*rows.shape[:-1]):
+        assert np.array_equal(rows[idx], tile[idx].ravel())
     assert np.shares_memory(rows, a)
     assert not rows.flags.writeable
 
@@ -386,7 +429,7 @@ def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, chan
         "cells": 1,
     }[tiling]
     if tile_cells is not None:
-        # a stencil tile is capped by the bytes of its window rows
+        # a tile is capped by the bytes of its window rows
         monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * channels * 8)
     rng = np.random.default_rng(16)
     t = rand_tensor(rng, (2, *extents, channels))
@@ -396,23 +439,32 @@ def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, chan
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_stencil_path_does_not_call_predict_batch(monkeypatch):
-    calls = []
-    original = LearnedStencil.predict_batch
+@pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])
+def test_builtin_predictors_read_windows_in_place(monkeypatch, kind):
+    padded, seen = [], []
+    pad = windowing.pad_zeros
 
-    def spy(self, windows):
-        calls.append(windows.batch)
-        return original(self, windows)
+    def pad_spy(*args):
+        padded.append(pad(*args))
+        return padded[-1]
 
-    monkeypatch.setattr(LearnedStencil, "predict_batch", spy)
+    monkeypatch.setattr(windowing, "pad_zeros", pad_spy)
     rng = np.random.default_rng(17)
     w = WindowSpec((5, 3))
     t = rand_tensor(rng, (2, 9, 8, 2))
-    st = _random_stencil(rng, w, 2)
-    got = integrate_predictions(t, w, st).data
-    assert calls == []
-    want = convolve_stencil_full(t.data, st.weights, st.bias, (5, 3))
-    assert np.max(np.abs(got - want)) <= 1e-12
+    pred = _oracle_predictor(kind, w, 2, rng)
+    predict = type(pred).predict_windows
+
+    def spy(self, windows):
+        seen.append(windows)
+        return predict(self, windows)
+
+    monkeypatch.setattr(type(pred), "predict_windows", spy)
+    integrate_predictions(t, w, pred)
+    assert len(padded) == 1 and seen
+    for windows in seen:
+        assert np.shares_memory(windows, padded[0].data)
+        assert not windows.flags.writeable
 
 
 @pytest.mark.parametrize("stencil_sizes,stencil_channels", [
@@ -439,22 +491,23 @@ def test_stencil_non_finite_prediction_is_contract_error():
             integrate_predictions(t, w, st)
 
 
-def test_stencil_holds_no_tile_of_windows():
-    # the gather would hold a whole TILE_BYTES tile of copied windows
+@pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])
+def test_predictors_hold_no_tile_of_windows(kind):
+    # a copy of a tile's windows would hold prod(W_1..W_{d-1}) * TILE_BYTES
     w = WindowSpec((17, 17))
     rng = np.random.default_rng(20)
     t = rand_tensor(rng, (1, 256, 256, 1))
-    st = _random_stencil(rng, w, 1)
+    pred = _oracle_predictor(kind, w, 1, rng)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = integrate_predictions(t, w, st)
+        out = integrate_predictions(t, w, pred)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert out.dims == t.dims
     padded = (256 + 16) ** 2 * 8
-    assert peak - padded - t.data.nbytes < 0.25 * windowing.TILE_BYTES
+    assert peak - padded - t.data.nbytes < 0.5 * windowing.TILE_BYTES
 
 
 # --- receptive field probe ----------------------------------------------------

@@ -162,6 +162,20 @@ def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor, w: WindowSpec | No
     return rows
 
 
+def _out_dir(args, default: str) -> Path:
+    """Create and return ``--out`` if it was given, else ``default``."""
+    out = Path(args.out if args.out is not None else default)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _nonempty(text: str) -> str:
+    """argparse type of ``--out``: an empty path is refused before anything runs."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
     # prediction pads each side by the window radius, so any size would run,
     # but a window more than twice the grid extent is almost certainly a
@@ -177,8 +191,7 @@ def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
 def cmd_gen(args) -> int:
     cfg = _load_effective_config(args)
     ds = _generate(cfg.dataset)
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg.out_dir)
     path = out / "dataset.ddld"
     write_dataset(path, ds)
     g = ds.grid
@@ -215,8 +228,7 @@ def cmd_eval(args) -> int:
     test_rows = _evaluate_pairs(ds, test_pairs, predictor, w, timings)
     timings["evaluate"] = time.perf_counter() - t0
 
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg.out_dir)
     for name, rows in (("train", train_rows), ("test", test_rows)):
         _write_csv(out / f"metrics_{name}.csv", "frame,rel_l2,paper_l2,r2",
                    [(t, m.rel_l2, m.paper_l2, m.r2) for t, m in rows])
@@ -277,8 +289,7 @@ def cmd_sweep(args) -> int:
             ))
             print(f"window={wcells} freq={freq}: r2={rows[-1][2]:.6f} "
                   f"rel_l2={rows[-1][3]:.3e}")
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg.out_dir)
     path = out / "sweep.csv"
     _write_csv(path, "window,frequency,r2,rel_l2", rows)
     print(f"wrote {path}")
@@ -335,8 +346,7 @@ def cmd_bench(args) -> int:
         raise ConfigError("--reps: must be >= 1")
     window_size(args.bench_window, "--bench-window")
     results = bench_roundtrip(blocks, args.reps, window=args.bench_window)
-    out = Path(args.out or "results")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, "results")
     path = out / "bench.csv"
     _write_csv(path, "b_max,median_seconds,repetitions",
                [(b_max, seconds, args.reps) for b_max, seconds in results])
@@ -370,8 +380,7 @@ def cmd_probe(args) -> int:
 def cmd_sizing(args) -> int:
     cfg = _load_effective_config(args)
     text = _sizing_report(_generate(replace(cfg.dataset, n_steps=0))).as_text()
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg.out_dir)
     sys.stdout.write(text)
     (out / "sizing.txt").write_text(text, encoding="utf-8")
     return 0
@@ -401,7 +410,7 @@ def _load_effective_config(args) -> ExperimentConfig:
 
 def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
+    p.add_argument("--out", type=_nonempty, help="output directory (default: config out_dir)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="time chunk+patch while scaling block count")
-    p.add_argument("--out", default=None, help="output directory (default: results)")
+    p.add_argument("--out", type=_nonempty, help="output directory (default: results)")
     p.add_argument("--blocks", default="8,16,32,64,128,256",
                    help="comma-separated b_max values, ascending")
     p.add_argument("--reps", type=int, default=5, help="repetitions per point")

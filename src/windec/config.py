@@ -13,15 +13,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .generators import BOUNDARIES, InitialCondition
+from .generators import GENERATED, IC_PARAMETER, InitialCondition
 
-_DATASET_KINDS = ("advection", "burgers", "heat")
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
-# the grid ranks and channel counts the heat and burgers steppers support
-_RANKS = {"heat": (2, 3), "burgers": (2,)}
-_CHANNELS = {"heat": 1, "burgers": 2}
-# the parameter each initial-condition kind cannot generate without
-_IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
 # Most float64 values a dataset may hold over all its frames: 16 GiB, far
 # above every config in the tests, scripts and benchmark, so that a config
 # slip fails at parse time instead of partway through generation.
@@ -69,12 +63,6 @@ def _nonnegative(value, where: str) -> float:
     return v
 
 
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
 def window_size(value, where: str) -> int:
     """One window extent: an odd integer of at least 3 cells."""
     w = _integer(value, where, 3)
@@ -109,7 +97,7 @@ def _parse_ic(raw: dict, where: str) -> InitialCondition:
         where,
     )
     kind = raw.get("kind", "sine")
-    if kind not in _IC_PARAMETER:
+    if not isinstance(kind, str) or kind not in IC_PARAMETER:
         raise ConfigError(f"{where}.kind: unknown initial condition {kind!r}")
     widths = raw.get("width_fraction_range", [0.05, 0.15])
     if not isinstance(widths, (list, tuple)) or len(widths) != 2:
@@ -162,21 +150,20 @@ class DatasetConfig:
             where,
         )
         kind = _require(raw, "kind", where)
-        if kind not in _DATASET_KINDS:
+        if not isinstance(kind, str) or kind not in GENERATED:
             raise ConfigError(f"{where}.kind: unknown dataset kind {kind!r}")
+        ranks, n_channels, boundaries = GENERATED[kind]
         extents = _require(raw, "extents", where)
         if not isinstance(extents, list) or not extents:
             raise ConfigError(f"{where}.extents: expected a non-empty list")
         extents = tuple(_integer(n, f"{where}.extents[{i}]", 1) for i, n in enumerate(extents))
-        if kind in _RANKS and len(extents) not in _RANKS[kind]:
-            ranks = " or ".join(map(str, _RANKS[kind]))
-            raise ConfigError(
-                f"{where}.extents: {kind} datasets need {ranks} dimensions, got {len(extents)}"
-            )
+        if len(extents) not in ranks:
+            raise ConfigError(f"{where}.extents: {kind} datasets need "
+                              f"{' or '.join(map(str, ranks))} dimensions, got {len(extents)}")
         channels = _integer(raw.get("channels", 1), f"{where}.channels", 1)
-        if kind in _CHANNELS and channels != _CHANNELS[kind]:
+        if n_channels is not None and channels != n_channels:
             raise ConfigError(
-                f"{where}.channels: {kind} datasets need {_CHANNELS[kind]}, got {channels}"
+                f"{where}.channels: {kind} datasets need {n_channels}, got {channels}"
             )
         c = raw.get("c")
         if c is not None:
@@ -184,8 +171,9 @@ class DatasetConfig:
                 raise ConfigError(f"{where}.c: expected {len(extents)} speeds")
             c = tuple(_number(v, f"{where}.c[{i}]") for i, v in enumerate(c))
         boundary = raw.get("boundary", "periodic")
-        if boundary not in BOUNDARIES:
-            raise ConfigError(f"{where}.boundary: unknown boundary {boundary!r}")
+        if boundary not in boundaries:
+            raise ConfigError(f"{where}.boundary: {kind} datasets need "
+                              f"{' or '.join(boundaries)}, got {boundary!r}")
         batch = _integer(raw.get("batch", 1), f"{where}.batch", 1)
         n_steps = _integer(raw.get("n_steps", 10), f"{where}.n_steps", 0)
         if batch * math.prod(extents) * channels * (n_steps + 1) > MAX_DATASET_VALUES:
@@ -215,7 +203,7 @@ class DatasetConfig:
         Parsing leaves it optional because ``sweep`` replaces ``ic`` with one
         per frequency.
         """
-        name = _IC_PARAMETER[self.ic.kind]
+        name = IC_PARAMETER[self.ic.kind]
         if getattr(self.ic, name) is None:
             raise ConfigError(
                 f"dataset.ic.{name}: missing required field for kind {self.ic.kind!r}"
@@ -267,6 +255,11 @@ class ExperimentConfig:
             if not isinstance(window, list) or not window:
                 raise ConfigError('window: expected "auto" or a list of odd sizes')
             window = tuple(window_size(w, f"window[{i}]") for i, w in enumerate(window))
+        out_dir = raw.get("out_dir", "results")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir: expected a string, got {out_dir!r}")
+        if not out_dir:
+            raise ConfigError("out_dir: must not be empty")
         split = _number(raw.get("split_fraction", 0.5), "split_fraction")
         if not 0 < split < 1:
             raise ConfigError(f"split_fraction: must be in (0, 1), got {split}")
@@ -276,7 +269,7 @@ class ExperimentConfig:
             predictor=PredictorConfig.parse(raw.get("predictor", {})),
             split_fraction=split,
             seed=_integer(raw.get("seed", 0), "seed", 0),
-            out_dir=_string(raw.get("out_dir", "results"), "out_dir"),
+            out_dir=out_dir,
         )
 
     def snapshot(self) -> dict:

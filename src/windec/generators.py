@@ -41,6 +41,17 @@ DATASET_VERSION = 1
 _KIND_CODES = {"advection": 0, "burgers": 1, "heat": 2, "external": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _MAX_SUBSTEPS = 10**7
+# What generate_dataset can make of each kind: the spatial ranks, the channel
+# count (None: any) and the boundaries its stepper supports.
+GENERATED = {
+    "advection": ((1, 2, 3), None, ("periodic",)),
+    "burgers": ((2,), 2, ("periodic",)),
+    "heat": ((2, 3), 1, BOUNDARIES),
+}
+# the parameter each initial-condition kind cannot generate without
+IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
+# what lies beyond the domain edge under each boundary, as an np.pad mode
+_PAD_MODES = {"periodic": "wrap", "zero-extension": "constant", "insulated": "edge"}
 
 
 @dataclass(frozen=True)
@@ -302,22 +313,15 @@ def advect_exact(u0: BatchTensor, pde: GridPde, t: float) -> BatchTensor:
     return BatchTensor(np.ascontiguousarray(out))
 
 
-def _neighbor_sum(a: np.ndarray, spatial_axes: range, boundary: str) -> np.ndarray:
-    """Sum of the 2d axis neighbors of every cell under the given boundary."""
+def _neighbor_sum(a: np.ndarray, d: int, boundary: str) -> np.ndarray:
+    """Sum of the 2d axis neighbors of every cell of ``(N_b, N_1..N_d, N_c)`` data."""
+    padded = np.pad(a, [(0, 0), *[(1, 1)] * d, (0, 0)], mode=_PAD_MODES[boundary])
     total = np.zeros_like(a)
-    for axis in spatial_axes:
-        if boundary == "periodic":
-            total += np.roll(a, 1, axis=axis) + np.roll(a, -1, axis=axis)
-        else:
-            mode = "edge" if boundary == "insulated" else "constant"
-            widths = [(0, 0)] * a.ndim
-            widths[axis] = (1, 1)
-            padded = np.pad(a, widths, mode=mode)
-            lo = [slice(None)] * a.ndim
-            hi = [slice(None)] * a.ndim
-            lo[axis] = slice(0, a.shape[axis])
-            hi[axis] = slice(2, a.shape[axis] + 2)
-            total += padded[tuple(lo)] + padded[tuple(hi)]
+    for axis in range(1, d + 1):
+        lo = [slice(None), *[slice(1, -1)] * d, slice(None)]
+        hi = list(lo)
+        lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+        total += padded[tuple(lo)] + padded[tuple(hi)]
     return total
 
 
@@ -347,9 +351,8 @@ def heat_step(field_t: BatchTensor, pde: GridPde) -> BatchTensor:
     n_sub = _substeps(total, 1.0 / (2 * d))
     lam = total / n_sub
     a = field_t.data.copy()
-    axes = range(1, d + 1)
     for _ in range(n_sub):
-        a = a + lam * (_neighbor_sum(a, axes, pde.boundary) - 2 * d * a)
+        a = a + lam * (_neighbor_sum(a, d, pde.boundary) - 2 * d * a)
     return BatchTensor(np.ascontiguousarray(a))
 
 
@@ -396,23 +399,13 @@ def burgers_step(u: BatchTensor, pde: GridPde) -> BatchTensor:
 
 def _initial_field(ic: InitialCondition, grid: Shape, pde: GridPde, seed: int) -> BatchTensor:
     if ic.kind == "sine":
-        if ic.freq is None:
-            raise DomainError("sine initial condition needs freq")
         return sin_field(ic.freq, grid, pde.dx)
     if ic.kind == "bumps":
-        if ic.n_bumps is None:
-            raise DomainError("bumps initial condition needs n_bumps")
         return gaussian_bump_field(
             seed, grid, pde.dx, ic.n_bumps,
             width_fraction_range=ic.width_fraction_range, center_margin=ic.center_margin,
         )
-    if ic.kind == "harmonics":
-        if ic.bandwidth is None:
-            raise DomainError("harmonics initial condition needs bandwidth")
-        return harmonic_field(
-            seed, grid, pde.dx, ic.bandwidth, ic.base_freq, ic.envelope_sigma
-        )
-    raise DomainError(f"unknown initial condition kind {ic.kind!r}")
+    return harmonic_field(seed, grid, pde.dx, ic.bandwidth, ic.base_freq, ic.envelope_sigma)
 
 
 def generate_dataset(
@@ -424,14 +417,21 @@ def generate_dataset(
     seed: int,
 ) -> Dataset:
     """Produce frames u^0..u^T with the stepper selected by ``kind``."""
-    if kind not in ("advection", "burgers", "heat"):
+    if kind not in GENERATED:
         raise DomainError(f"cannot generate dataset kind {kind!r}")
+    ranks, channels, boundaries = GENERATED[kind]
+    if grid.ndim not in ranks:
+        raise RankError(f"{kind} datasets cannot have spatial rank {grid.ndim}")
+    if channels is not None and grid.channels != channels:
+        raise DomainError(f"{kind} datasets need N_c = {channels}, got {grid.channels}")
+    if pde.boundary not in boundaries:
+        raise UnsupportedBoundary(f"{kind} datasets cannot have a {pde.boundary} boundary")
+    if ic.kind not in IC_PARAMETER:
+        raise DomainError(f"unknown initial condition kind {ic.kind!r}")
+    if getattr(ic, IC_PARAMETER[ic.kind]) is None:
+        raise DomainError(f"{ic.kind} initial condition needs {IC_PARAMETER[ic.kind]}")
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
-    if kind == "burgers" and grid.channels != 2:
-        raise DomainError("burgers datasets need 2 channels")
-    if kind == "heat" and grid.channels != 1:
-        raise DomainError("heat datasets need 1 channel")
     u0 = _initial_field(ic, grid, pde, seed)
     if kind == "advection":
         frames = [advect_exact(u0, pde, t * pde.dt) for t in range(n_steps + 1)]

@@ -186,17 +186,17 @@ def window_view(a: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return np.moveaxis(view, d + 1, -1)
 
 
-def _tiles(spatial: Sequence[int], max_cells: int) -> Iterator[tuple]:
-    """Spatial index tuples that partition the grid into tiles of <= max_cells.
+def _tiles(extents: Sequence[int], max_cells: int) -> Iterator[tuple]:
+    """Index tuples that partition an array of ``extents`` into tiles of <= max_cells.
 
     Tiles are runs of whole rows along the first axis; when one row is over
     the limit, each row is cut into runs along the next axis, and so on.
     """
-    d = len(spatial)
-    k = next(i for i in range(d) if math.prod(spatial[i + 1:]) <= max_cells)
-    step = max_cells // math.prod(spatial[k + 1:])
-    for outer in itertools.product(*(range(n) for n in spatial[:k])):
-        for lo in range(0, spatial[k], step):
+    d = len(extents)
+    k = next(i for i in range(d) if math.prod(extents[i + 1:]) <= max_cells)
+    step = max_cells // math.prod(extents[k + 1:])
+    for outer in itertools.product(*(range(n) for n in extents[:k])):
+        for lo in range(0, extents[k], step):
             yield (*outer, slice(lo, lo + step))
 
 
@@ -205,8 +205,8 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
 
     The window of a cell is the W-box around it in ``t`` zero-padded by
     ``w.radius``.  The grid is padded once and viewed as every window
-    (:func:`window_view`); each tile of cells, one batch item at a time and
-    covering at most ``TILE_BYTES`` of window rows, goes to
+    (:func:`window_view`); each tile of cells covering at most ``TILE_BYTES``
+    of window rows (several whole frames of the batch, when they fit) goes to
     ``predictor.predict_windows`` as a read-only ``(..., W_1..W_d, N_c)`` view
     of the padded grid, and the returned ``(..., N_c)`` centers are written to
     their cells.  No window is copied here.
@@ -221,18 +221,15 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
     windows = window_view(padded, w.sizes)
     out = np.empty(t.dims)
     max_cells = max(1, TILE_BYTES // (w.sizes[-1] * t.channels * padded.itemsize))
-    for b in range(t.batch):
-        for tile in _tiles(t.spatial, max_cells):
-            idx = (b, *tile)
-            got = np.asarray(predictor.predict_windows(windows[idx]))
-            target = out[idx]
-            if got.shape != target.shape:
-                raise PredictorContractError(
-                    f"predictor returned {got.shape}, expected {target.shape}"
-                )
-            if not np.isfinite(got).all():
-                raise PredictorContractError("predictor returned NaN or Inf")
-            target[...] = got
+    for tile in _tiles(t.dims[:-1], max_cells):
+        got = np.asarray(predictor.predict_windows(windows[tile]))
+        target = out[tile]
+        if got.shape != target.shape:
+            raise PredictorContractError(f"predictor returned {got.shape}, "
+                                         f"expected {target.shape}")
+        if not np.isfinite(got).all():
+            raise PredictorContractError("predictor returned NaN or Inf")
+        target[...] = got
     return BatchTensor(out)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -231,13 +232,35 @@ def test_bench_rejects_bad_blocks(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_bench_median_stable_across_repetitions(tmp_path):
-    from windec.cli import bench_roundtrip
+def test_bench_times_each_repetition_and_reports_the_median(monkeypatch):
+    import windec.cli as cli
 
-    one = dict(bench_roundtrip([16, 32, 64, 128], 1))
-    nine = dict(bench_roundtrip([16, 32, 64, 128], 9))
-    for b in (32, 64, 128):
-        assert abs(one[b] - nine[b]) <= 0.5 * max(one[b], nine[b])
+    chunk = cli.chunk_domain
+    blocks = [1, 2, 3]
+    for repetitions in (1, 4, 5):
+        # scripted per-repetition seconds, exact in binary so medians compare with ==
+        durations = {b: [(7 * b + 3 * j) % 11 / 64 + 1 / 8 for j in range(repetitions)]
+                     for b in blocks}
+        ticks, events = [], []
+        for i, d in enumerate(d for b in blocks for d in durations[b]):
+            ticks += [float(i), i + d]
+        clock = iter(ticks)
+
+        def perf_counter():
+            events.append("tick")
+            return next(clock)
+
+        def chunk_domain(*args):
+            events.append("chunk")
+            return chunk(*args)
+
+        monkeypatch.setattr(cli.time, "perf_counter", perf_counter)
+        monkeypatch.setattr(cli, "chunk_domain", chunk_domain)
+        got = cli.bench_roundtrip(blocks, repetitions, fixed_blocks=2, batch=2)
+        assert got == [(b, statistics.median(durations[b])) for b in blocks]
+        # per b_max: one untimed warm-up round trip, then one clocked round trip
+        # per repetition
+        assert events == (["chunk"] + ["tick", "chunk", "tick"] * repetitions) * len(blocks)
 
 
 # --- probe -------------------------------------------------------------------
@@ -358,6 +381,14 @@ _TOO_MANY_VALUES = ("dataset.batch * dataset.extents * dataset.channels * "
     # each) overflow only across frames.  Both fail before anything is allocated.
     ({"batch": 10**19}, _TOO_MANY_VALUES),
     ({"n_steps": 2_000_000}, _TOO_MANY_VALUES),
+    # a rank, boundary or initial-condition kind that generators.GENERATED refuses
+    ({"extents": [4, 4, 4, 4], "c": [0.1] * 4}, "dataset.extents"),
+    ({"boundary": "insulated"}, "dataset.boundary"),
+    ({"boundary": "zero-extension"}, "dataset.boundary"),
+    ({"kind": "burgers", "channels": 2, "c": None, "nu": 0.01, "boundary": "insulated"},
+     "dataset.boundary"),
+    ({"kind": "heat", "c": None, "alpha": 0.1, "boundary": "reflecting"}, "dataset.boundary"),
+    ({"ic": {"kind": ["sine"], "freq": 1.0}}, "dataset.ic.kind"),
 ])
 def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field):
     path = write_config(tmp_path)
@@ -392,6 +423,24 @@ def test_non_string_out_dir_is_config_error(tmp_path, capsys, monkeypatch, out_d
         assert main([command, "--config", str(cfg)]) == 1
         assert "config error: out_dir: expected a string" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+_CONFIG_COMMANDS = [["gen"], ["eval"], ["sizing"], ["sweep", "--windows", "3,5", "--freqs", "1,2"]]
+
+
+@pytest.mark.parametrize("argv, out_dir, field", [
+    *[([*argv, "--out", ""], "out", "argument --out") for argv in _CONFIG_COMMANDS],
+    *[(argv, "", "out_dir") for argv in _CONFIG_COMMANDS],
+    (["bench", "--blocks", "4,8,16,32", "--reps", "1", "--out", ""], None, "argument --out"),
+])
+def test_empty_output_path_is_config_error(tmp_path, capsys, monkeypatch, argv, out_dir, field):
+    monkeypatch.chdir(tmp_path)
+    if out_dir is not None:
+        argv = [*argv, "--config", str(write_config(tmp_path, {"out_dir": out_dir}))]
+    assert main(argv) == 1
+    assert f"config error: {field}: must not be empty" in capsys.readouterr().err
+    # nothing but the config file: no output directory was created
+    assert [p.name for p in tmp_path.iterdir()] == ([] if out_dir is None else ["config.json"])
 
 
 # a fitted predictor needs at least one training pair: floor(n_pairs * split_fraction)

@@ -1,16 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from windec import (
+    BOUNDARIES,
     BatchTensor,
     DomainError,
     GridPde,
     InitialCondition,
+    RankError,
     Shape,
     StabilityError,
     UnsupportedBoundary,
+    WindecError,
     advect_exact,
     burgers_step,
     gaussian_bump_field,
@@ -21,6 +25,7 @@ from windec import (
     sample_bumps,
     sin_field,
 )
+from windec.config import DatasetConfig
 
 
 # --- sin_field ----------------------------------------------------------------
@@ -291,3 +296,57 @@ def test_generate_validates_channels():
         generate_dataset(
             "burgers", Shape(1, (8, 8), 1), pde, InitialCondition("bumps", n_bumps=1), 1, 0
         )
+
+
+_BUMP = InitialCondition("bumps", n_bumps=1)
+
+
+@pytest.mark.parametrize("kind, grid, pde, ic, error", [
+    ("heat", Shape(1, (8,), 1), GridPde(dx=0.1, dt=0.1, alpha=0.1), _BUMP, RankError),
+    ("burgers", Shape(1, (8, 8, 8), 2), GridPde(dx=0.1, dt=0.1, nu=0.01), _BUMP, RankError),
+    ("burgers", Shape(1, (8, 8), 2), GridPde(dx=0.1, dt=0.1, nu=0.01, boundary="insulated"),
+     _BUMP, UnsupportedBoundary),
+    ("advection", Shape(1, (8,), 1), GridPde(dx=0.1, dt=0.1, c=(1.0,), boundary="insulated"),
+     _BUMP, UnsupportedBoundary),
+    ("heat", Shape(1, (8, 8), 1), GridPde(dx=0.1, dt=0.1, alpha=0.1),
+     InitialCondition("bumps"), DomainError),
+])
+def test_generate_refuses_unsupported_requests_without_steps(kind, grid, pde, ic, error):
+    # no stepper runs at n_steps=0, so each is refused before any frame is built
+    with pytest.raises(error):
+        generate_dataset(kind, grid, pde, ic, 0, 0)
+
+
+_IC_VALUES = {"sine": ("freq", 1.0), "bumps": ("n_bumps", 1), "harmonics": ("bandwidth", 1.0)}
+
+
+def test_config_accepts_exactly_what_generation_accepts():
+    refused = accepted = 0
+    for kind, rank, channels, boundary, ic_kind, with_parameter in itertools.product(
+        ("advection", "burgers", "heat"), (1, 2, 3), (1, 2), BOUNDARIES, _IC_VALUES,
+        (True, False),
+    ):
+        name, value = _IC_VALUES[ic_kind]
+        ic = {"kind": ic_kind, **({name: value} if with_parameter else {})}
+        raw = {"kind": kind, "extents": [4] * rank, "channels": channels, "dx": 0.25,
+               "dt": 0.1, "c": [0.25] * rank, "nu": 0.01, "alpha": 0.01,
+               "boundary": boundary, "ic": ic, "n_steps": 1}
+        try:
+            DatasetConfig.parse(raw).check_ic()
+            config_ok = True
+        except WindecError:
+            config_ok = False
+        pde = GridPde(dx=0.25, dt=0.1, c=(0.25,) * rank, nu=0.01, alpha=0.01,
+                      boundary=boundary)
+        try:
+            generate_dataset(kind, Shape(1, (4,) * rank, channels), pde,
+                             InitialCondition(**ic), 1, 0)
+            generated = True
+        except WindecError:
+            generated = False
+        assert config_ok == generated, raw
+        accepted += generated
+        refused += not generated
+    # advection 3 ranks x 2 channels, burgers 1, heat 2 ranks x 3 boundaries; x 3 ICs
+    assert accepted == (6 + 1 + 6) * 3
+    assert refused == 324 - accepted

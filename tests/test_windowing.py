@@ -391,8 +391,8 @@ def test_window_rows_are_read_only_views_of_window_rows(sizes, extents, channels
     rng = np.random.default_rng(15)
     a = rng.standard_normal((2, *extents, channels))
     windows = window_view(a, sizes)
-    # a tile as integrate_predictions hands it over: one batch item, a run of
-    # cells along the first axis
+    # a tile as integrate_predictions hands over part of a frame too large for
+    # one tile: one batch item, a run of cells along the first axis
     tile = windows[1, :2]
     rows = tile.reshape(*tile.shape[:-2], -1)
     assert rows.shape == (*tile.shape[:-len(sizes) - 1], *sizes[:-1], sizes[-1] * channels)
@@ -414,7 +414,7 @@ def test_window_rows_are_read_only_views_of_window_rows(sizes, extents, channels
     ((7, 9), (3, 4), 1),
     ((5, 5, 7), (1, 2, 3), 2),
 ])
-# whole: one tile per batch item; rows: two whole rows of the first axis per
+# whole: one tile for the whole batch; rows: two whole rows of the first axis per
 # tile, the last one ragged where that extent is odd; pieces: runs of N_d - 1
 # cells along the last axis, so each row ends in a ragged piece; cells: one
 # cell per tile

@@ -41,6 +41,7 @@ from .config import (
 )
 from .errors import ConfigError, WindecError, WindowTooLarge
 from .generators import (
+    GENERATED,
     Dataset,
     GridPde,
     InitialCondition,
@@ -67,9 +68,6 @@ from .windowing import (
     receptive_field_probe,
     window_patch,
 )
-
-_CHAR_LENGTH_KIND = {"advection": "advection", "heat": "diffusion", "burgers": "burgers"}
-
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -108,7 +106,7 @@ def _sizing_report(ds: Dataset) -> SizingReport:
     if ds.kind == "burgers":
         u_max = float(np.max(np.abs(ds.frames[0].data)))
     return recommend_window(
-        ds.pde, kind=_CHAR_LENGTH_KIND[ds.kind], probe=_probe_line(ds), u_max=u_max
+        ds.pde, kind=GENERATED[ds.kind].char_length, probe=_probe_line(ds), u_max=u_max
     )
 
 
@@ -119,7 +117,7 @@ def _resolve_window(cfg: ExperimentConfig, ds: Dataset) -> WindowSpec:
                 f"window: rank {len(cfg.window)} does not match grid rank {ds.grid.ndim}"
             )
         return WindowSpec(cfg.window)
-    if ds.kind not in _CHAR_LENGTH_KIND:
+    if ds.kind not in GENERATED:
         raise ConfigError(f'window: "auto" cannot size a window for dataset kind {ds.kind!r}; '
                           "give explicit window sizes")
     return WindowSpec.cube(_sizing_report(ds).recommended_cells, ds.grid.ndim)

@@ -152,7 +152,7 @@ class DatasetConfig:
         kind = _require(raw, "kind", where)
         if not isinstance(kind, str) or kind not in GENERATED:
             raise ConfigError(f"{where}.kind: unknown dataset kind {kind!r}")
-        ranks, n_channels, boundaries = GENERATED[kind]
+        ranks, n_channels, boundaries, needs, _ = GENERATED[kind]
         extents = _require(raw, "extents", where)
         if not isinstance(extents, list) or not extents:
             raise ConfigError(f"{where}.extents: expected a non-empty list")
@@ -170,6 +170,9 @@ class DatasetConfig:
             if not isinstance(c, list) or len(c) != len(extents):
                 raise ConfigError(f"{where}.c: expected {len(extents)} speeds")
             c = tuple(_number(v, f"{where}.c[{i}]") for i, v in enumerate(c))
+        for name in needs:
+            if raw.get(name) is None:
+                raise ConfigError(f"{where}.{name}: missing required field for {kind} datasets")
         boundary = raw.get("boundary", "periodic")
         if boundary not in boundaries:
             raise ConfigError(f"{where}.boundary: {kind} datasets need "

@@ -21,7 +21,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,12 +41,22 @@ DATASET_VERSION = 1
 _KIND_CODES = {"advection": 0, "burgers": 1, "heat": 2, "external": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _MAX_SUBSTEPS = 10**7
-# What generate_dataset can make of each kind: the spatial ranks, the channel
-# count (None: any) and the boundaries its stepper supports.
+
+
+class Generated(NamedTuple):
+    """What :func:`generate_dataset` can make of one dataset kind."""
+
+    ranks: tuple[int, ...]  # spatial ranks
+    channels: int | None  # channel count; None: any
+    boundaries: tuple[str, ...]  # boundaries its stepper supports
+    needs: tuple[str, ...]  # GridPde fields its stepper cannot run without
+    char_length: str  # the sizing.char_length kind of its physics
+
+
 GENERATED = {
-    "advection": ((1, 2, 3), None, ("periodic",)),
-    "burgers": ((2,), 2, ("periodic",)),
-    "heat": ((2, 3), 1, BOUNDARIES),
+    "advection": Generated((1, 2, 3), None, ("periodic",), ("c",), "advection"),
+    "burgers": Generated((2,), 2, ("periodic",), (), "burgers"),
+    "heat": Generated((2, 3), 1, BOUNDARIES, (), "diffusion"),
 }
 # the parameter each initial-condition kind cannot generate without
 IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
@@ -419,13 +429,16 @@ def generate_dataset(
     """Produce frames u^0..u^T with the stepper selected by ``kind``."""
     if kind not in GENERATED:
         raise DomainError(f"cannot generate dataset kind {kind!r}")
-    ranks, channels, boundaries = GENERATED[kind]
+    ranks, channels, boundaries, needs, _ = GENERATED[kind]
     if grid.ndim not in ranks:
         raise RankError(f"{kind} datasets cannot have spatial rank {grid.ndim}")
     if channels is not None and grid.channels != channels:
         raise DomainError(f"{kind} datasets need N_c = {channels}, got {grid.channels}")
     if pde.boundary not in boundaries:
         raise UnsupportedBoundary(f"{kind} datasets cannot have a {pde.boundary} boundary")
+    for name in needs:
+        if getattr(pde, name) is None:
+            raise DomainError(f"{kind} datasets need {name}")
     if ic.kind not in IC_PARAMETER:
         raise DomainError(f"unknown initial condition kind {ic.kind!r}")
     if getattr(ic, IC_PARAMETER[ic.kind]) is None:

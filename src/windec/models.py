@@ -7,7 +7,9 @@ any leading axes, to the predicted next values at their centers
 (upwind transport, explicit diffusion) implement known update rules; the
 learned stencil is a ridge-regressed linear filter over the whole window,
 and the global linear model is the deliberately non-local baseline that maps
-whole frames to whole frames.
+whole frames to whole frames.  Fitted from fewer frames than a frame has
+values, the baseline keeps its ridge solution in sample space (two n x p
+factors), so it never holds a dense whole-frame-squared weight matrix.
 
 Every predictor declares its dependence radius: cells outside the central
 ``(2r+1)^d`` sub-window never influence its output.
@@ -15,6 +17,7 @@ Every predictor declares its dependence radius: cells outside the central
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -208,31 +211,45 @@ class LearnedStencil:
 
 @dataclass(frozen=True)
 class GlobalLinearModel:
-    """Whole-frame to whole-frame ridge map; the non-local baseline."""
+    """Whole-frame to whole-frame ridge map; the non-local baseline.
+
+    A frame ``x`` flattened to p values maps to
+    ``(x - x_mean) @ factors[0] @ factors[1] ... + y_mean``.  With fewer
+    training samples n than features p the factors are the dual pair
+    ``(xc.T, a)`` of :func:`_solve_ridge`, both n x p, so the model and a
+    prediction take O(n p) memory and no p x p weight matrix is formed;
+    otherwise they are the primal weights ``(w,)``.
+    """
 
     dims: tuple[int, ...]
-    weights: np.ndarray
-    bias: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    x_mean: np.ndarray
+    y_mean: np.ndarray
     ridge_lambda: float
 
     def predict_frame(self, frame: BatchTensor) -> BatchTensor:
         if frame.dims[1:] != self.dims[1:]:
             raise ShapeMismatchError(f"frame {frame.dims} does not match {self.dims}")
-        flat = frame.data.reshape(frame.batch, -1)
-        out = flat @ self.weights + self.bias
-        return BatchTensor(np.ascontiguousarray(out.reshape(frame.dims)))
+        out = frame.data.reshape(frame.batch, -1) - self.x_mean
+        for f in self.factors:
+            out = out @ f
+        out += self.y_mean
+        return BatchTensor(out.reshape(frame.dims))
 
 
 def _solve_ridge(
     x: np.ndarray, y: np.ndarray, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Centered ridge normal equations with one refinement pass.
 
-    Returns (weights, bias); the bias is left unpenalized by fitting on
-    centered data.  With n samples and p features the solve runs in the
+    Returns (factors, xm, ym): the weights are the product of ``factors`` and
+    the prediction of ``x`` is ``(x - xm) @ weights + ym``, which leaves the
+    bias unpenalized.  With n samples and p features the solve runs in the
     smaller space: the p x p system (X^T X + lam I) w = X^T y when n >= p,
-    otherwise the n x n system (X X^T + lam I) a = y with w = X^T a, by the
-    identity (X^T X + lam I)^-1 X^T = X^T (X X^T + lam I)^-1.
+    with factors ``(w,)``; otherwise the n x n system (X X^T + lam I) a = y,
+    with factors ``(X^T, a)`` by the identity
+    (X^T X + lam I)^-1 X^T = X^T (X X^T + lam I)^-1.  The dual factors are
+    both n x p, so the p x p weights are never formed.
 
     Raises SingularSystem when lam == 0 and the system is rank deficient.
     Centering leaves rank at most n - 1, so that always holds for lam == 0
@@ -271,10 +288,7 @@ def _solve_ridge(
             f"normal-equation residual {resid / b_norm:.3g} > 1e-8; "
             "increase ridge_lambda"
         )
-    if dual:
-        w = xc.T @ w
-    bias = ym - xm @ w
-    return w, bias
+    return ((xc.T, w) if dual else (w,)), xm, ym
 
 
 def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarray:
@@ -349,8 +363,9 @@ def fit_stencil(
 ) -> LearnedStencil:
     """Ridge-regress a linear window filter onto next-step center values."""
     x, y = sample_training_pairs(ds, w, sample_budget, seed, pair_indices)
-    weights, bias = _solve_ridge(x, y, ridge_lambda)
-    return LearnedStencil(w, weights, bias, ridge_lambda)
+    factors, xm, ym = _solve_ridge(x, y, ridge_lambda)
+    weights = functools.reduce(np.matmul, factors)
+    return LearnedStencil(w, weights, ym - xm @ weights, ridge_lambda)
 
 
 def fit_global_linear(
@@ -380,8 +395,8 @@ def fit_global_linear(
     for s, (t, b) in enumerate(combos):
         x[s] = ds.frames[t].data[b].ravel()
         y[s] = ds.frames[t + 1].data[b].ravel()
-    weights, bias = _solve_ridge(x, y, ridge_lambda)
-    return GlobalLinearModel(ds.grid.dims, weights, bias, ridge_lambda)
+    factors, xm, ym = _solve_ridge(x, y, ridge_lambda)
+    return GlobalLinearModel(ds.grid.dims, factors, xm, ym, ridge_lambda)
 
 
 # --- metrics ----------------------------------------------------------------

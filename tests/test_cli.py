@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import statistics
 
 import numpy as np
@@ -315,6 +316,18 @@ def test_sizing_reports_key_value_block(tmp_path, capsys):
     assert (tmp_path / "out" / "sizing.txt").read_text() == out
 
 
+@pytest.mark.parametrize("dataset, l_c", [
+    ({}, lambda v: v == 1 / 24),  # advection: |c| dt
+    ({"kind": "heat", "c": None, "alpha": 0.0016}, lambda v: v == math.sqrt(0.0016)),
+    # burgers: the larger of u_max dt and sqrt(nu dt)
+    ({"kind": "burgers", "channels": 2, "c": None, "nu": 0.01}, lambda v: v >= 0.1),
+])
+def test_sizing_uses_each_kinds_characteristic_length(tmp_path, capsys, dataset, l_c):
+    assert main(["sizing", "--config", str(write_config(tmp_path, {"dataset": dataset}))]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("l_c=") and l_c(float(first[4:]))
+
+
 # --- config and exit codes -----------------------------------------------------
 
 
@@ -389,6 +402,9 @@ _TOO_MANY_VALUES = ("dataset.batch * dataset.extents * dataset.channels * "
      "dataset.boundary"),
     ({"kind": "heat", "c": None, "alpha": 0.1, "boundary": "reflecting"}, "dataset.boundary"),
     ({"ic": {"kind": ["sine"], "freq": 1.0}}, "dataset.ic.kind"),
+    # advection without transport speeds, in 2-D and on a 1-D sine
+    ({"c": None}, "dataset.c"),
+    ({"extents": [24], "c": None, "ic": {"kind": "sine", "freq": 1.0}}, "dataset.c"),
 ])
 def test_ungeneratable_dataset_is_config_error(tmp_path, capsys, dataset, field):
     path = write_config(tmp_path)

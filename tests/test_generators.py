@@ -310,6 +310,7 @@ _BUMP = InitialCondition("bumps", n_bumps=1)
      _BUMP, UnsupportedBoundary),
     ("heat", Shape(1, (8, 8), 1), GridPde(dx=0.1, dt=0.1, alpha=0.1),
      InitialCondition("bumps"), DomainError),
+    ("advection", Shape(1, (8,), 1), GridPde(dx=0.1, dt=0.1), _BUMP, DomainError),
 ])
 def test_generate_refuses_unsupported_requests_without_steps(kind, grid, pde, ic, error):
     # no stepper runs at n_steps=0, so each is refused before any frame is built
@@ -322,22 +323,22 @@ _IC_VALUES = {"sine": ("freq", 1.0), "bumps": ("n_bumps", 1), "harmonics": ("ban
 
 def test_config_accepts_exactly_what_generation_accepts():
     refused = accepted = 0
-    for kind, rank, channels, boundary, ic_kind, with_parameter in itertools.product(
+    for kind, rank, channels, boundary, ic_kind, with_parameter, with_c in itertools.product(
         ("advection", "burgers", "heat"), (1, 2, 3), (1, 2), BOUNDARIES, _IC_VALUES,
-        (True, False),
+        (True, False), (True, False),
     ):
         name, value = _IC_VALUES[ic_kind]
         ic = {"kind": ic_kind, **({name: value} if with_parameter else {})}
+        c = [0.25] * rank if with_c else None
         raw = {"kind": kind, "extents": [4] * rank, "channels": channels, "dx": 0.25,
-               "dt": 0.1, "c": [0.25] * rank, "nu": 0.01, "alpha": 0.01,
+               "dt": 0.1, "c": c, "nu": 0.01, "alpha": 0.01,
                "boundary": boundary, "ic": ic, "n_steps": 1}
         try:
             DatasetConfig.parse(raw).check_ic()
             config_ok = True
         except WindecError:
             config_ok = False
-        pde = GridPde(dx=0.25, dt=0.1, c=(0.25,) * rank, nu=0.01, alpha=0.01,
-                      boundary=boundary)
+        pde = GridPde(dx=0.25, dt=0.1, c=c, nu=0.01, alpha=0.01, boundary=boundary)
         try:
             generate_dataset(kind, Shape(1, (4,) * rank, channels), pde,
                              InitialCondition(**ic), 1, 0)
@@ -347,6 +348,7 @@ def test_config_accepts_exactly_what_generation_accepts():
         assert config_ok == generated, raw
         accepted += generated
         refused += not generated
-    # advection 3 ranks x 2 channels, burgers 1, heat 2 ranks x 3 boundaries; x 3 ICs
-    assert accepted == (6 + 1 + 6) * 3
-    assert refused == 324 - accepted
+    # with c: advection 3 ranks x 2 channels, burgers 1, heat 2 ranks x 3 boundaries;
+    # without c: burgers and heat only; x 3 ICs
+    assert accepted == (6 + 1 + 6) * 3 + (1 + 6) * 3
+    assert refused == 648 - accepted

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,12 +231,17 @@ def test_fit_stencil_weights_equal_primal_normal_equation_solve():
     assert np.array_equal(st.bias, ym - xm @ want)
 
 
-def c09_frame_pairs(pairs):
-    """Whole-frame (input, target) rows of the c09 dataset: 4 x 48^2, one row per item."""
-    ds = advection_dataset(batch=4)
-    x = np.stack([ds.frames[t].data[b].ravel() for t in pairs for b in range(4)])
-    y = np.stack([ds.frames[t + 1].data[b].ravel() for t in pairs for b in range(4)])
+def frame_pairs(ds, pairs):
+    """Whole-frame (input, target) rows, one per pair and batch item, in the
+    order ``fit_global_linear`` draws them."""
+    x = np.stack([ds.frames[t].data[b].ravel() for t in pairs for b in range(ds.grid.batch)])
+    y = np.stack([ds.frames[t + 1].data[b].ravel() for t in pairs for b in range(ds.grid.batch)])
     return x, y
+
+
+def c09_frame_pairs(pairs):
+    """Whole-frame rows of the c09 dataset: 4 x 48^2, one row per item."""
+    return frame_pairs(advection_dataset(batch=4), pairs)
 
 
 def random_regression(n, p, seed=15):
@@ -253,10 +260,11 @@ def test_solve_ridge_matches_svd_oracle(case):
     else:
         x, y = random_regression(400, 30)
         x_test, _ = random_regression(50, 30, seed=16)
-    w, bias = _solve_ridge(x, y, lam)
+    factors, xm, ym = _solve_ridge(x, y, lam)
     want_w, want_bias = ridge_svd(x, y, lam)
     for inputs in (x, x_test):
-        pred, want = inputs @ w + bias, inputs @ want_w + want_bias
+        pred = functools.reduce(np.matmul, factors, inputs - xm) + ym
+        want = inputs @ want_w + want_bias
         assert np.linalg.norm(pred - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -323,7 +331,57 @@ def test_global_linear_deterministic():
     ds = advection_dataset(extents=(16, 16), seed=5)
     a = fit_global_linear(ds, sample_budget=8, seed=4)
     b = fit_global_linear(ds, sample_budget=8, seed=4)
-    assert np.array_equal(a.weights, b.weights)
+    assert len(a.factors) == len(b.factors) == 2
+    for fa, fb in zip(a.factors, b.factors):
+        assert np.array_equal(fa, fb)
+    assert np.array_equal(a.x_mean, b.x_mean) and np.array_equal(a.y_mean, b.y_mean)
+    for t in range(ds.n_steps):
+        assert np.array_equal(a.predict_frame(ds.frames[t]).data,
+                              b.predict_frame(ds.frames[t]).data)
+
+
+def primal_dataset():
+    """Random 3 x (3 x 2) x 2 frames: 12 features, 3 samples per frame pair."""
+    rng = np.random.default_rng(17)
+    frames = [BatchTensor(rng.standard_normal((3, 3, 2, 2))) for _ in range(8)]
+    return Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+
+
+@pytest.mark.parametrize("case", ["dual-c09", "primal"])
+def test_global_linear_predictions_match_dense_svd_weights(case):
+    lam = 1e-8
+    if case == "dual-c09":
+        ds, train, test = advection_dataset(batch=4), [0, 2, 4, 6], [1, 3, 5, 7]
+    else:
+        ds, train, test = primal_dataset(), [0, 1, 3, 4, 6], [2, 5]
+    x, y = frame_pairs(ds, train)
+    n, p = x.shape
+    assert (n < p) == (case == "dual-c09")
+    model = fit_global_linear(ds, ridge_lambda=lam, sample_budget=64, pair_indices=train)
+    # the dual fit keeps two n x p factors; only the primal one is p x p
+    want_shapes = [(p, n), (n, p)] if n < p else [(p, p)]
+    assert [f.shape for f in model.factors] == want_shapes
+    want_w, want_bias = ridge_svd(x, y, lam)
+    for t in train + test:
+        frame = ds.frames[t]
+        pred = model.predict_frame(frame).data
+        want = (frame.data.reshape(frame.batch, -1) @ want_w + want_bias).reshape(frame.dims)
+        assert np.linalg.norm(pred - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_global_linear_memory_stays_in_sample_space():
+    # c09-sized: 16 samples x 2304 features; dense p x p weights alone are 40.5 MiB
+    ds = advection_dataset(batch=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = fit_global_linear(ds, sample_budget=64, pair_indices=[0, 2, 4, 6])
+        for t in (1, 3, 5, 7):
+            model.predict_frame(ds.frames[t])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_global_linear_without_ridge_raises():

@@ -385,25 +385,21 @@ def burgers_step(u: BatchTensor, pde: GridPde) -> BatchTensor:
     dx = pde.dx
     a = u.data.copy()
     for _ in range(n_sub):
-        vel = [a[..., 0], a[..., 1]]
-        new = np.empty_like(a)
-        for comp in range(2):
-            phi = a[..., comp]
-            conv = np.zeros_like(phi)
-            for axis, w in enumerate(vel):
-                ax = axis + 1
-                back = (phi - np.roll(phi, 1, axis=ax)) / dx
-                fwd = (np.roll(phi, -1, axis=ax) - phi) / dx
-                conv += np.maximum(w, 0.0) * back + np.minimum(w, 0.0) * fwd
-            lap = (
-                np.roll(phi, 1, axis=1)
-                + np.roll(phi, -1, axis=1)
-                + np.roll(phi, 1, axis=2)
-                + np.roll(phi, -1, axis=2)
-                - 4 * phi
-            ) / dx**2
-            new[..., comp] = phi + dt * (pde.nu * lap - conv)
-        a = new
+        # both components at once; the speed along spatial axis i is component i
+        conv = np.zeros_like(a)
+        for axis in (1, 2):
+            w = a[..., axis - 1 : axis]
+            back = (a - np.roll(a, 1, axis=axis)) / dx
+            fwd = (np.roll(a, -1, axis=axis) - a) / dx
+            conv += np.maximum(w, 0.0) * back + np.minimum(w, 0.0) * fwd
+        lap = (
+            np.roll(a, 1, axis=1)
+            + np.roll(a, -1, axis=1)
+            + np.roll(a, 1, axis=2)
+            + np.roll(a, -1, axis=2)
+            - 4 * a
+        ) / dx**2
+        a = a + dt * (pde.nu * lap - conv)
     return BatchTensor(np.ascontiguousarray(a))
 
 

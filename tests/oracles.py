@@ -78,6 +78,37 @@ def diffusion_full(data, lam):
     return data + lam * (nbsum - 2 * d * data)
 
 
+def burgers_loop(data, dx, dt, nu, n_sub):
+    """``n_sub`` Burgers sub-steps of ``dt / n_sub``, one velocity component at a time.
+
+    Periodic first-order upwind self-advection plus central viscosity on a
+    (B, N_1, N_2, 2) array, the update of ``burgers_step`` written per component.
+    """
+    dt = dt / n_sub
+    a = data.copy()
+    for _ in range(n_sub):
+        vel = [a[..., 0], a[..., 1]]
+        new = np.empty_like(a)
+        for comp in range(2):
+            phi = a[..., comp]
+            conv = np.zeros_like(phi)
+            for axis, w in enumerate(vel):
+                ax = axis + 1
+                back = (phi - np.roll(phi, 1, axis=ax)) / dx
+                fwd = (np.roll(phi, -1, axis=ax) - phi) / dx
+                conv += np.maximum(w, 0.0) * back + np.minimum(w, 0.0) * fwd
+            lap = (
+                np.roll(phi, 1, axis=1)
+                + np.roll(phi, -1, axis=1)
+                + np.roll(phi, 1, axis=2)
+                + np.roll(phi, -1, axis=2)
+                - 4 * phi
+            ) / dx**2
+            new[..., comp] = phi + dt * (nu * lap - conv)
+        a = new
+    return a
+
+
 def convolve_stencil_full(data, weights, bias, w_sizes):
     """Apply a learned window filter to the whole grid with zero extension.
 

@@ -27,6 +27,8 @@ from windec import (
 )
 from windec.config import DatasetConfig
 
+from oracles import burgers_loop
+
 
 # --- sin_field ----------------------------------------------------------------
 
@@ -192,6 +194,30 @@ def test_burgers_stability_guard():
     pde = GridPde(dx=1e-6, dt=1e3, nu=0.5)
     with pytest.raises(StabilityError):
         burgers_step(BatchTensor(np.ones((1, 4, 4, 2))), pde)
+
+
+def _burgers_substeps(vmax, dx, dt, nu):
+    """Sub-step count of the documented Burgers rule."""
+    n_conv = math.ceil(vmax * dt / dx / 0.5 - 1e-12) if vmax > 0 else 1
+    n_diff = math.ceil(nu * dt / dx**2 / 0.25 - 1e-12) if nu > 0 else 1
+    return max(1, n_conv, n_diff)
+
+
+@pytest.mark.parametrize("shape, dt, nu, seed, substepped", [
+    ((1, 8, 8, 2), 0.001, 0.01, 0, False),
+    ((2, 5, 7, 2), 0.004, 0.0, 1, False),
+    ((3, 6, 4, 2), 0.002, 0.005, 2, False),
+    ((1, 16, 12, 2), 0.1, 0.01, 3, True),
+    ((2, 9, 11, 2), 0.05, 0.0, 4, True),
+    ((1, 7, 16, 2), 0.05, 0.02, 5, True),
+])
+def test_burgers_step_matches_per_component_loop(shape, dt, nu, seed, substepped):
+    data = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    dx = 1 / max(shape[1:3])
+    n_sub = _burgers_substeps(float(np.max(np.abs(data))), dx, dt, nu)
+    assert (n_sub > 1) == substepped
+    out = burgers_step(BatchTensor(data), GridPde(dx=dx, dt=dt, nu=nu))
+    assert np.array_equal(out.data, burgers_loop(data, dx, dt, nu, n_sub))
 
 
 # --- heat_step ------------------------------------------------------------------

@@ -196,11 +196,19 @@ def test_burgers_stability_guard():
         burgers_step(BatchTensor(np.ones((1, 4, 4, 2))), pde)
 
 
+@pytest.mark.parametrize("nu, dt", [(0.01, 0.2), (0.02, 0.05), (0.02, 0.1)])
+def test_burgers_maximum_principle(nu, dt):
+    # explicit upwind plus central viscosity is monotone only while
+    # 2C + 4D <= 1; sizing C and D separately let max|u| grow to 264
+    ds = generate_dataset("burgers", Shape(2, (32, 32), 2), GridPde(dx=1 / 32, dt=dt, nu=nu),
+                          InitialCondition("bumps", n_bumps=4), 10, seed=1)
+    peaks = [float(np.max(np.abs(f.data))) for f in ds.frames]
+    assert all(b <= a for a, b in zip(peaks, peaks[1:])), peaks
+
+
 def _burgers_substeps(vmax, dx, dt, nu):
-    """Sub-step count of the documented Burgers rule."""
-    n_conv = math.ceil(vmax * dt / dx / 0.5 - 1e-12) if vmax > 0 else 1
-    n_diff = math.ceil(nu * dt / dx**2 / 0.25 - 1e-12) if nu > 0 else 1
-    return max(1, n_conv, n_diff)
+    """Sub-step count of the documented Burgers rule, 2C + 4D <= 1 per sub-step."""
+    return max(1, math.ceil(2 * vmax * dt / dx + 4 * nu * dt / dx**2 - 1e-12))
 
 
 @pytest.mark.parametrize("shape, dt, nu, seed, substepped", [

@@ -67,10 +67,7 @@ def char_length(kind: str, pde: GridPde, u_max: float | None = None) -> float:
         speed = math.sqrt(sum(v * v for v in pde.c))
         return speed * pde.dt
     if kind == "diffusion":
-        coeff = pde.alpha if pde.alpha > 0 else pde.nu
-        if coeff <= 0 and pde.alpha == 0 and pde.nu == 0:
-            return 0.0
-        return math.sqrt(coeff * pde.dt)
+        return math.sqrt((pde.alpha or pde.nu) * pde.dt)
     if kind == "burgers":
         if u_max is None:
             raise DomainError("burgers characteristic length needs u_max from data")

@@ -27,6 +27,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .generators import (
 )
 from .models import (
     DiffusionStencil,
-    GlobalLinearModel,
     IdentityPredictor,
     MetricsRecord,
     UpwindStencil,
@@ -124,35 +124,34 @@ def _resolve_window(cfg: ExperimentConfig, ds: Dataset) -> WindowSpec:
 
 
 def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpec | None,
-                     train_pairs: list[int]):
+                     train_pairs: list[int]) -> Callable[[BatchTensor], BatchTensor]:
+    """Frame -> next-frame map of predictor ``kind``; it looks its callee up at each call."""
+    fit = dict(ridge_lambda=cfg.predictor.ridge_lambda, sample_budget=cfg.predictor.sample_budget,
+               seed=cfg.seed, pair_indices=train_pairs)
     if kind == "identity":
-        return IdentityPredictor(ds.grid.ndim)
-    if kind == "upwind":
-        return UpwindStencil(ds.pde, w)
-    if kind == "diffusion":
-        return DiffusionStencil(ds.pde, w)
-    if not train_pairs:
+        local = IdentityPredictor(ds.grid.ndim)
+    elif kind == "upwind":
+        local = UpwindStencil(ds.pde, w)
+    elif kind == "diffusion":
+        local = DiffusionStencil(ds.pde, w)
+    elif not train_pairs:
         raise ConfigError(f"split_fraction: {cfg.split_fraction} of {ds.n_steps} frame pairs "
                           f"leaves no training pair to fit predictor.kind {kind!r}")
-    fit = dict(ridge_lambda=cfg.predictor.ridge_lambda,
-               sample_budget=cfg.predictor.sample_budget,
-               seed=cfg.seed,
-               pair_indices=train_pairs)
-    if kind == "stencil":
-        return fit_stencil(ds, w, **fit)
-    return fit_global_linear(ds, **fit)
+    elif kind == "stencil":
+        local = fit_stencil(ds, w, **fit)
+    else:
+        model = fit_global_linear(ds, **fit)
+        return lambda frame: model.predict_frame(frame)
+    return lambda frame: integrate_predictions(frame, w, local)
 
 
-def _evaluate_pairs(ds: Dataset, pairs: list[int], predictor, w: WindowSpec | None,
+def _evaluate_pairs(ds: Dataset, pairs: list[int], predict: Callable[[BatchTensor], BatchTensor],
                     timings: dict[str, float]) -> list[tuple[int, MetricsRecord]]:
     """Metrics of each pair; adds prediction and metric seconds to ``timings``."""
     rows = []
     for t in pairs:
         t0 = time.perf_counter()
-        if isinstance(predictor, GlobalLinearModel):
-            pred = predictor.predict_frame(ds.frames[t])
-        else:
-            pred = integrate_predictions(ds.frames[t], w, predictor)
+        pred = predict(ds.frames[t])
         t1 = time.perf_counter()
         rows.append((t, metrics_record(pred, ds.frames[t + 1])))
         timings["predict"] = timings.get("predict", 0.0) + (t1 - t0)
@@ -218,12 +217,12 @@ def cmd_eval(args) -> int:
         _check_window_fits(w, ds.grid)
 
     t0 = time.perf_counter()
-    predictor = _build_predictor(cfg.predictor.kind, cfg, ds, w, train_pairs)
+    predict = _build_predictor(cfg.predictor.kind, cfg, ds, w, train_pairs)
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train_rows = _evaluate_pairs(ds, train_pairs, predictor, w, timings)
-    test_rows = _evaluate_pairs(ds, test_pairs, predictor, w, timings)
+    train_rows = _evaluate_pairs(ds, train_pairs, predict, timings)
+    test_rows = _evaluate_pairs(ds, test_pairs, predict, timings)
     timings["evaluate"] = time.perf_counter() - t0
 
     out = _out_dir(args, cfg.out_dir)
@@ -279,7 +278,7 @@ def cmd_sweep(args) -> int:
         for wcells in windows:
             w = WindowSpec.cube(wcells, d)
             stencil = _build_predictor("stencil", cfg, ds, w, train_pairs)
-            test_rows = _evaluate_pairs(ds, test_pairs, stencil, w, {})
+            test_rows = _evaluate_pairs(ds, test_pairs, stencil, {})
             rows.append((
                 wcells, freq,
                 statistics.fmean(m.r2 for _, m in test_rows),

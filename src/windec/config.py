@@ -2,18 +2,20 @@
 
 A config file mirrors :class:`ExperimentConfig`; CLI flags override file
 values before parsing, so they are checked like the fields they replace.
-Parsing reports the offending dotted field path on every error.
+Parsing reports the offending dotted field path on every error; field names
+and defaults come from the dataclasses, and :mod:`generators` decides what a
+dataset may ask for.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .generators import GENERATED, IC_PARAMETER, InitialCondition
+from .errors import ConfigError, WindecError
+from .generators import IC_PARAMETER, InitialCondition, check_ic, check_request
 
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
 # Most float64 values a dataset may hold over all its frames: 16 GiB, far
@@ -50,10 +52,18 @@ def _integer(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: dict, cls, where: str) -> None:
+    unknown = set(mapping) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+
+
+def _generatable(check, where: str, *args) -> None:
+    """Run a :mod:`generators` check, reporting its refusal at ``where``."""
+    try:
+        check(*args)
+    except WindecError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def _nonnegative(value, where: str) -> float:
@@ -90,23 +100,18 @@ def parse_number_list(text: str, where: str) -> list[int | float]:
 
 
 def _parse_ic(raw: dict, where: str) -> InitialCondition:
-    _check_keys(
-        raw,
-        {"kind", "freq", "n_bumps", "bandwidth", "base_freq", "envelope_sigma",
-         "width_fraction_range", "center_margin"},
-        where,
-    )
-    kind = raw.get("kind", "sine")
+    default = InitialCondition
+    _check_keys(raw, default, where)
+    kind = raw.get("kind", default.kind)
     if not isinstance(kind, str) or kind not in IC_PARAMETER:
         raise ConfigError(f"{where}.kind: unknown initial condition {kind!r}")
-    widths = raw.get("width_fraction_range", [0.05, 0.15])
+    widths = raw.get("width_fraction_range", default.width_fraction_range)
     if not isinstance(widths, (list, tuple)) or len(widths) != 2:
         raise ConfigError(f"{where}.width_fraction_range: expected [low, high]")
-    widths = tuple(
-        _number(v, f"{where}.width_fraction_range[{i}]", True)
-        for i, v in enumerate(widths)
-    )
-    margin = _number(raw.get("center_margin", 0.15), f"{where}.center_margin", True)
+    widths = tuple(_number(v, f"{where}.width_fraction_range[{i}]", True)
+                   for i, v in enumerate(widths))
+    margin = _number(raw.get("center_margin", default.center_margin),
+                     f"{where}.center_margin", True)
     if margin >= 0.5:
         raise ConfigError(f"{where}.center_margin: must be < 0.5, got {margin}")
     return InitialCondition(
@@ -116,7 +121,7 @@ def _parse_ic(raw: dict, where: str) -> InitialCondition:
         bandwidth=None
         if "bandwidth" not in raw
         else _number(raw["bandwidth"], f"{where}.bandwidth", True),
-        base_freq=_number(raw.get("base_freq", 0.5), f"{where}.base_freq", True),
+        base_freq=_number(raw.get("base_freq", default.base_freq), f"{where}.base_freq", True),
         envelope_sigma=None
         if raw.get("envelope_sigma") is None
         else _number(raw["envelope_sigma"], f"{where}.envelope_sigma", True),
@@ -128,57 +133,37 @@ def _parse_ic(raw: dict, where: str) -> InitialCondition:
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str
-    batch: int
     extents: tuple[int, ...]
-    channels: int
     dx: float
     dt: float
+    batch: int = 1
+    channels: int = 1
     c: tuple[float, ...] | None = None
     nu: float = 0.0
     alpha: float = 0.0
     boundary: str = "periodic"
-    ic: InitialCondition = field(default_factory=lambda: InitialCondition("sine"))
+    ic: InitialCondition = field(default_factory=InitialCondition)
     n_steps: int = 10
     seed: int = 0
 
     @classmethod
     def parse(cls, raw: dict, where: str = "dataset") -> "DatasetConfig":
-        _check_keys(
-            raw,
-            {"kind", "batch", "extents", "channels", "dx", "dt", "c", "nu",
-             "alpha", "boundary", "ic", "n_steps", "seed"},
-            where,
-        )
+        _check_keys(raw, cls, where)
         kind = _require(raw, "kind", where)
-        if not isinstance(kind, str) or kind not in GENERATED:
-            raise ConfigError(f"{where}.kind: unknown dataset kind {kind!r}")
-        ranks, n_channels, boundaries, needs, _ = GENERATED[kind]
         extents = _require(raw, "extents", where)
         if not isinstance(extents, list) or not extents:
             raise ConfigError(f"{where}.extents: expected a non-empty list")
         extents = tuple(_integer(n, f"{where}.extents[{i}]", 1) for i, n in enumerate(extents))
-        if len(extents) not in ranks:
-            raise ConfigError(f"{where}.extents: {kind} datasets need "
-                              f"{' or '.join(map(str, ranks))} dimensions, got {len(extents)}")
-        channels = _integer(raw.get("channels", 1), f"{where}.channels", 1)
-        if n_channels is not None and channels != n_channels:
-            raise ConfigError(
-                f"{where}.channels: {kind} datasets need {n_channels}, got {channels}"
-            )
-        c = raw.get("c")
+        channels = _integer(raw.get("channels", cls.channels), f"{where}.channels", 1)
+        boundary = raw.get("boundary", cls.boundary)
+        _generatable(check_request, where, kind, len(extents), channels, boundary, raw)
+        c = raw.get("c", cls.c)
         if c is not None:
             if not isinstance(c, list) or len(c) != len(extents):
                 raise ConfigError(f"{where}.c: expected {len(extents)} speeds")
             c = tuple(_number(v, f"{where}.c[{i}]") for i, v in enumerate(c))
-        for name in needs:
-            if raw.get(name) is None:
-                raise ConfigError(f"{where}.{name}: missing required field for {kind} datasets")
-        boundary = raw.get("boundary", "periodic")
-        if boundary not in boundaries:
-            raise ConfigError(f"{where}.boundary: {kind} datasets need "
-                              f"{' or '.join(boundaries)}, got {boundary!r}")
-        batch = _integer(raw.get("batch", 1), f"{where}.batch", 1)
-        n_steps = _integer(raw.get("n_steps", 10), f"{where}.n_steps", 0)
+        batch = _integer(raw.get("batch", cls.batch), f"{where}.batch", 1)
+        n_steps = _integer(raw.get("n_steps", cls.n_steps), f"{where}.n_steps", 0)
         if batch * math.prod(extents) * channels * (n_steps + 1) > MAX_DATASET_VALUES:
             raise ConfigError(
                 f"{where}.batch * {where}.extents * {where}.channels * "
@@ -192,12 +177,12 @@ class DatasetConfig:
             dx=_number(_require(raw, "dx", where), f"{where}.dx", True),
             dt=_number(_require(raw, "dt", where), f"{where}.dt", True),
             c=c,
-            nu=_nonnegative(raw.get("nu", 0.0), f"{where}.nu"),
-            alpha=_nonnegative(raw.get("alpha", 0.0), f"{where}.alpha"),
+            nu=_nonnegative(raw.get("nu", cls.nu), f"{where}.nu"),
+            alpha=_nonnegative(raw.get("alpha", cls.alpha), f"{where}.alpha"),
             boundary=boundary,
             ic=_parse_ic(raw.get("ic", {}), f"{where}.ic"),
             n_steps=n_steps,
-            seed=_integer(raw.get("seed", 0), f"{where}.seed", 0),
+            seed=_integer(raw.get("seed", cls.seed), f"{where}.seed", 0),
         )
 
     def check_ic(self) -> None:
@@ -206,11 +191,7 @@ class DatasetConfig:
         Parsing leaves it optional because ``sweep`` replaces ``ic`` with one
         per frequency.
         """
-        name = IC_PARAMETER[self.ic.kind]
-        if getattr(self.ic, name) is None:
-            raise ConfigError(
-                f"dataset.ic.{name}: missing required field for kind {self.ic.kind!r}"
-            )
+        _generatable(check_ic, "dataset", self.ic)
 
 
 @dataclass(frozen=True)
@@ -221,14 +202,16 @@ class PredictorConfig:
 
     @classmethod
     def parse(cls, raw: dict, where: str = "predictor") -> "PredictorConfig":
-        _check_keys(raw, {"kind", "ridge_lambda", "sample_budget"}, where)
-        kind = raw.get("kind", "stencil")
+        _check_keys(raw, cls, where)
+        kind = raw.get("kind", cls.kind)
         if kind not in _PREDICTOR_KINDS:
             raise ConfigError(f"{where}.kind: unknown predictor kind {kind!r}")
         return cls(
             kind=kind,
-            ridge_lambda=_nonnegative(raw.get("ridge_lambda", 1e-8), f"{where}.ridge_lambda"),
-            sample_budget=_integer(raw.get("sample_budget", 4096), f"{where}.sample_budget", 1),
+            ridge_lambda=_nonnegative(raw.get("ridge_lambda", cls.ridge_lambda),
+                                      f"{where}.ridge_lambda"),
+            sample_budget=_integer(raw.get("sample_budget", cls.sample_budget),
+                                   f"{where}.sample_budget", 1),
         )
 
 
@@ -245,25 +228,21 @@ class ExperimentConfig:
     def parse(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
-        _check_keys(
-            raw,
-            {"dataset", "window", "predictor", "split_fraction", "seed", "out_dir"},
-            "top level",
-        )
+        _check_keys(raw, cls, "top level")
         dataset_raw = _require(raw, "dataset", "top level")
         if not isinstance(dataset_raw, dict):
             raise ConfigError("dataset: expected an object")
-        window = raw.get("window", "auto")
+        window = raw.get("window", cls.window)
         if window != "auto":
             if not isinstance(window, list) or not window:
                 raise ConfigError('window: expected "auto" or a list of odd sizes')
             window = tuple(window_size(w, f"window[{i}]") for i, w in enumerate(window))
-        out_dir = raw.get("out_dir", "results")
+        out_dir = raw.get("out_dir", cls.out_dir)
         if not isinstance(out_dir, str):
             raise ConfigError(f"out_dir: expected a string, got {out_dir!r}")
         if not out_dir:
             raise ConfigError("out_dir: must not be empty")
-        split = _number(raw.get("split_fraction", 0.5), "split_fraction")
+        split = _number(raw.get("split_fraction", cls.split_fraction), "split_fraction")
         if not 0 < split < 1:
             raise ConfigError(f"split_fraction: must be in (0, 1), got {split}")
         return cls(
@@ -271,7 +250,7 @@ class ExperimentConfig:
             window=window,
             predictor=PredictorConfig.parse(raw.get("predictor", {})),
             split_fraction=split,
-            seed=_integer(raw.get("seed", 0), "seed", 0),
+            seed=_integer(raw.get("seed", cls.seed), "seed", 0),
             out_dir=out_dir,
         )
 

@@ -11,8 +11,10 @@ Three steppers produce frame sequences on periodic or bounded grids:
 - :func:`heat_step` is an explicit central-difference diffusion step for
   scalar fields with periodic, zero-extension, or insulated boundaries.
 
-Datasets serialize to a little-endian binary container (see
-:func:`write_dataset`) that round-trips every float bit-exactly.
+:func:`check_request` and :func:`check_ic` alone decide what can be generated;
+the config parser calls them too.  Datasets serialize to a little-endian
+binary container (see :func:`write_dataset`) that round-trips every float
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,7 +107,7 @@ class InitialCondition:
     ``bandwidth``, optionally tapered by a centered Gaussian envelope.
     """
 
-    kind: str
+    kind: str = "sine"
     freq: float | None = None
     n_bumps: int | None = None
     bandwidth: float | None = None
@@ -414,6 +416,37 @@ def _initial_field(ic: InitialCondition, grid: Shape, pde: GridPde, seed: int) -
     return harmonic_field(seed, grid, pde.dx, ic.bandwidth, ic.base_freq, ic.envelope_sigma)
 
 
+def check_request(kind, rank: int, channels: int, boundary, pde_fields: Mapping) -> None:
+    """Refuse what :func:`generate_dataset` cannot make; ``pde_fields`` maps GridPde fields.
+
+    Checked in this order, each message begins with the field at fault: ``kind``,
+    ``extents`` (the rank), ``channels``, a field the kind ``needs``, ``boundary``.
+    """
+    if not isinstance(kind, str) or kind not in GENERATED:
+        raise DomainError(f"kind: cannot generate dataset kind {kind!r}")
+    ranks, n_channels, boundaries, needs, _ = GENERATED[kind]
+    if rank not in ranks:
+        raise RankError(f"extents: {kind} datasets need "
+                        f"{' or '.join(map(str, ranks))} dimensions, got {rank}")
+    if n_channels is not None and channels != n_channels:
+        raise DomainError(f"channels: {kind} datasets need {n_channels}, got {channels}")
+    for name in needs:
+        if pde_fields.get(name) is None:
+            raise DomainError(f"{name}: missing required field for {kind} datasets")
+    if boundary not in boundaries:
+        raise UnsupportedBoundary(f"boundary: {kind} datasets need "
+                                  f"{' or '.join(boundaries)}, got {boundary!r}")
+
+
+def check_ic(ic: InitialCondition) -> None:
+    """Refuse an unknown IC kind or one without its parameter (``ic.kind``, ``ic.<name>``)."""
+    if ic.kind not in IC_PARAMETER:
+        raise DomainError(f"ic.kind: unknown initial condition {ic.kind!r}")
+    name = IC_PARAMETER[ic.kind]
+    if getattr(ic, name) is None:
+        raise DomainError(f"ic.{name}: missing required field for kind {ic.kind!r}")
+
+
 def generate_dataset(
     kind: str,
     grid: Shape,
@@ -423,22 +456,8 @@ def generate_dataset(
     seed: int,
 ) -> Dataset:
     """Produce frames u^0..u^T with the stepper selected by ``kind``."""
-    if kind not in GENERATED:
-        raise DomainError(f"cannot generate dataset kind {kind!r}")
-    ranks, channels, boundaries, needs, _ = GENERATED[kind]
-    if grid.ndim not in ranks:
-        raise RankError(f"{kind} datasets cannot have spatial rank {grid.ndim}")
-    if channels is not None and grid.channels != channels:
-        raise DomainError(f"{kind} datasets need N_c = {channels}, got {grid.channels}")
-    if pde.boundary not in boundaries:
-        raise UnsupportedBoundary(f"{kind} datasets cannot have a {pde.boundary} boundary")
-    for name in needs:
-        if getattr(pde, name) is None:
-            raise DomainError(f"{kind} datasets need {name}")
-    if ic.kind not in IC_PARAMETER:
-        raise DomainError(f"unknown initial condition kind {ic.kind!r}")
-    if getattr(ic, IC_PARAMETER[ic.kind]) is None:
-        raise DomainError(f"{ic.kind} initial condition needs {IC_PARAMETER[ic.kind]}")
+    check_request(kind, grid.ndim, grid.channels, pde.boundary, vars(pde))
+    check_ic(ic)
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
     u0 = _initial_field(ic, grid, pde, seed)

@@ -11,12 +11,14 @@ from windec import (
     BatchTensor,
     Dataset,
     GridPde,
+    InitialCondition,
     Shape,
     read_dataset,
     sin_field,
     write_dataset,
 )
 from windec.cli import build_parser, main
+from windec.config import DatasetConfig, ExperimentConfig, PredictorConfig, load_config
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -373,6 +375,22 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["gen"]) == 1
     assert "required: --config" in capsys.readouterr().err
     assert main(["nonsense"]) == 1
+
+
+def test_minimal_config_parses_to_dataclass_defaults(tmp_path):
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps({"dataset": {"kind": "advection", "extents": [8], "dx": 0.125,
+                                            "dt": 0.1, "c": [0.5]}}))
+    cfg = load_config(path)
+    assert cfg == ExperimentConfig(DatasetConfig("advection", (8,), 0.125, 0.1, c=(0.5,)))
+    # the defaults themselves
+    assert (cfg.window, cfg.split_fraction, cfg.seed, cfg.out_dir) == ("auto", 0.5, 0, "results")
+    assert cfg.predictor == PredictorConfig("stencil", 1e-8, 4096)
+    ds = cfg.dataset
+    assert (ds.batch, ds.channels, ds.nu, ds.alpha, ds.boundary, ds.n_steps, ds.seed) == (
+        1, 1, 0.0, 0.0, "periodic", 10, 0)
+    assert ds.ic == InitialCondition("sine", base_freq=0.5, width_fraction_range=(0.05, 0.15),
+                                     center_margin=0.15)
 
 
 _TOO_MANY_VALUES = ("dataset.batch * dataset.extents * dataset.channels * "

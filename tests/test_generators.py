@@ -7,6 +7,7 @@ import pytest
 from windec import (
     BOUNDARIES,
     BatchTensor,
+    ConfigError,
     DomainError,
     GridPde,
     InitialCondition,
@@ -367,19 +368,20 @@ def test_config_accepts_exactly_what_generation_accepts():
         raw = {"kind": kind, "extents": [4] * rank, "channels": channels, "dx": 0.25,
                "dt": 0.1, "c": c, "nu": 0.01, "alpha": 0.01,
                "boundary": boundary, "ic": ic, "n_steps": 1}
+        config_field = generate_field = None
         try:
             DatasetConfig.parse(raw).check_ic()
-            config_ok = True
-        except WindecError:
-            config_ok = False
+        except ConfigError as exc:
+            config_field = str(exc).split(":")[0]
         pde = GridPde(dx=0.25, dt=0.1, c=c, nu=0.01, alpha=0.01, boundary=boundary)
         try:
             generate_dataset(kind, Shape(1, (4,) * rank, channels), pde,
                              InitialCondition(**ic), 1, 0)
-            generated = True
-        except WindecError:
-            generated = False
-        assert config_ok == generated, raw
+        except WindecError as exc:
+            generate_field = str(exc).split(":")[0]
+        generated = generate_field is None
+        # both refuse by the same rule, so they name the same field first
+        assert config_field == (None if generated else f"dataset.{generate_field}"), raw
         accepted += generated
         refused += not generated
     # with c: advection 3 ranks x 2 channels, burgers 1, heat 2 ranks x 3 boundaries;

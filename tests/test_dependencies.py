@@ -1,4 +1,8 @@
-"""Every third-party module the tests import is declared in pyproject.toml."""
+"""The declared dependencies and Python floor in pyproject.toml hold.
+
+Every third-party module the tests import is declared, and no source file
+uses syntax newer than ``requires-python``.
+"""
 
 import ast
 import re
@@ -45,3 +49,42 @@ def test_test_imports_are_declared_dependencies():
         if not any(_normalize(d) in declared for d in distributions.get(module, [module]))
     )
     assert not missing, f"imported under tests/ but not in pyproject.toml: {missing}"
+
+
+def _parenthesised(source: str, node: ast.Tuple) -> bool:
+    # a parenthesised tuple's node ends at its ")", after its last element
+    last = node.elts[-1]
+    return ((node.end_lineno, node.end_col_offset) > (last.end_lineno, last.end_col_offset)
+            and ast.get_source_segment(source, node).endswith(")"))
+
+
+def _syntax_newer_than_3_10(source: str) -> list[str]:
+    """Lines using 3.11 syntax that ``ast.parse(feature_version=(3, 10))`` accepts:
+    a starred item in an unparenthesised subscript tuple, and ``except*``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, getattr(ast, "TryStar", ())):
+            found.append(f"{node.lineno}: except*")
+        elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+              and any(isinstance(e, ast.Starred) for e in node.slice.elts)
+              and not _parenthesised(source, node.slice)):
+            found.append(f"{node.lineno}: starred subscript")
+    return found
+
+
+def test_sources_use_no_syntax_newer_than_requires_python():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["requires-python"] == ">=3.10"
+    assert _syntax_newer_than_3_10("a[..., *k]\na[x, *k,]\na[(x), *(k)]\na[*k]") == [
+        "1: starred subscript", "2: starred subscript", "3: starred subscript",
+        "4: starred subscript",
+    ]
+    assert _syntax_newer_than_3_10("a[(..., *k)]\na[(x, *k,)]\na[x, k]\nf(*k)") == []
+    if sys.version_info >= (3, 11):
+        assert _syntax_newer_than_3_10("try:\n    pass\nexcept* ValueError:\n    pass") == [
+            "1: except*"]
+    paths = [p for part in ("src", "tests", "scripts") for p in sorted((ROOT / part).rglob("*.py"))]
+    assert len(paths) > 10
+    found = [f"{p.relative_to(ROOT)}:{line}" for p in paths
+             for line in _syntax_newer_than_3_10(p.read_text(encoding="utf-8"))]
+    assert not found, f"syntax newer than Python 3.10: {found}"

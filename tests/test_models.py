@@ -16,6 +16,7 @@ from windec import (
     InitialCondition,
     LearnedStencil,
     Shape,
+    ShapeMismatchError,
     SingularSystem,
     StabilityError,
     UpwindStencil,
@@ -286,6 +287,30 @@ def test_learned_stencil_integration_matches_full_convolution():
     out = integrate_predictions(t, w, st)
     expected = convolve_stencil_full(t.data, weights, bias, (3, 5))
     assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("bias", [np.float64(0.5), np.zeros((1, 1))], ids=["0-d", "1x1"])
+def test_learned_stencil_bias_must_be_one_value_per_channel(bias):
+    with pytest.raises(ShapeMismatchError):
+        LearnedStencil(WindowSpec((3, 3)), np.zeros((9, 1)), bias, 0.0)
+
+
+@pytest.mark.parametrize("weights", [np.ones((9, 1), dtype=complex), [["x"]] * 9],
+                         ids=["complex", "text"])
+def test_learned_stencil_weights_must_be_real_numbers(weights):
+    with pytest.raises(DomainError):
+        LearnedStencil(WindowSpec((3, 3)), weights, np.zeros(1), 0.0)
+
+
+def test_learned_stencil_holds_list_weights_as_float64_arrays():
+    rng = np.random.default_rng(21)
+    w = WindowSpec((3, 3))
+    weights, bias = rng.standard_normal((18, 2)), rng.standard_normal(2)
+    st = LearnedStencil(w, weights.tolist(), bias.tolist(), 0.0)
+    assert st.weights.dtype == st.bias.dtype == np.float64
+    t = BatchTensor(rng.standard_normal((1, 10, 11, 2)))
+    want = integrate_predictions(t, w, LearnedStencil(w, weights, bias, 0.0))
+    assert integrate_predictions(t, w, st).equals(want)
 
 
 @pytest.mark.parametrize("sizes,extents,channels,pair_indices", [

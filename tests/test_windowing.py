@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from windec import (
     BatchTensor,
@@ -28,7 +29,7 @@ from windec import (
     window_offsets,
     window_patch,
 )
-from windec import windowing
+from windec import models, windowing
 from windec.windowing import apply_dense_stencil, window_view
 from oracles import (
     brute_offsets,
@@ -413,6 +414,17 @@ def test_window_rows_are_read_only_views_of_window_rows(sizes, extents, channels
     ((9,), (3,), 2),
     ((7, 9), (3, 4), 1),
     ((5, 5, 7), (1, 2, 3), 2),
+    # last-axis extents 8k, 8k + 1 and 8k + 7: whole blocks of models.BAND = 8
+    # cells go through banded GEMMs, and a ragged tail through row matmuls
+    ((5,), (16,), 1),
+    ((3,), (17,), 2),
+    ((7,), (23,), 1),
+    ((3, 5), (5, 24), 2),
+    ((5, 3), (4, 25), 1),
+    ((3, 7), (3, 31), 2),
+    ((3, 3, 5), (3, 2, 16), 2),
+    ((3, 5, 3), (2, 3, 33), 1),
+    ((5, 3, 3), (3, 2, 23), 2),
 ])
 # whole: one tile for the whole batch; rows: two whole rows of the first axis per
 # tile, the last one ragged where that extent is odd; pieces: runs of N_d - 1
@@ -437,6 +449,73 @@ def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, chan
     got = integrate_predictions(t, w, st).data
     want = convolve_stencil_full(t.data, st.weights, st.bias, sizes)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _spy_band_runs(monkeypatch):
+    """Record the shape of every banded-GEMM run view the learned stencil makes."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        view = as_strided(*args, **kwargs)
+        runs.append(view.shape)
+        return view
+
+    monkeypatch.setattr(models, "as_strided", spy)
+    return runs
+
+
+@pytest.mark.parametrize("sizes,extents,channels", [
+    ((5,), (19,), 2),
+    ((3, 5), (4, 17), 1),
+    ((3, 3, 3), (3, 2, 23), 2),
+])
+def test_stencil_takes_row_matmuls_for_windows_laid_out_otherwise(monkeypatch, sizes,
+                                                                 extents, channels):
+    # contiguous and transposed copies of a window_view tile hold the same
+    # windows, but consecutive windows no longer overlap in memory
+    rng = np.random.default_rng(22)
+    w = WindowSpec(sizes)
+    a = rng.standard_normal((2, *extents, channels))
+    st = _random_stencil(rng, w, channels)
+    padded = np.pad(a, [(0, 0), *((r, r) for r in w.radius), (0, 0)])
+    tile = window_view(padded, sizes)
+    want = convolve_stencil_full(a, st.weights, st.bias, sizes)
+    runs = _spy_band_runs(monkeypatch)
+    assert np.max(np.abs(st.predict_windows(tile) - want)) <= 1e-12
+    assert len(runs) == 1
+    for copy in (np.ascontiguousarray(tile), np.asfortranarray(tile)):
+        assert np.max(np.abs(st.predict_windows(copy) - want)) <= 1e-12
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("sizes,extents", [((5,), (40,)), ((5, 5), (12, 21)),
+                                           ((3, 3, 3), (4, 3, 17))])
+@pytest.mark.parametrize("tile_cells", [None, 12])
+def test_integrate_hands_learned_stencil_banded_tiles(monkeypatch, sizes, extents,
+                                                      tile_cells):
+    # every tile is a window_view tile, so each of its whole blocks of BAND
+    # cells along the last axis must go through a banded GEMM
+    w = WindowSpec(sizes)
+    if tile_cells is not None:
+        monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * 8)
+    rng = np.random.default_rng(23)
+    t = rand_tensor(rng, (2, *extents, 1))
+    st = _random_stencil(rng, w, 1)
+    tiles = []
+    predict = LearnedStencil.predict_windows
+
+    def spy(self, windows):
+        tiles.append(windows.shape)
+        return predict(self, windows)
+
+    monkeypatch.setattr(LearnedStencil, "predict_windows", spy)
+    runs = _spy_band_runs(monkeypatch)
+    integrate_predictions(t, w, st)
+    d = w.ndim
+    blocks = sum(math.prod(s[:-d - 2]) * (s[-d - 2] // models.BAND) for s in tiles)
+    assert blocks > 0
+    # a run view is (..., blocks, W_1..W_{d-1}, run)
+    assert sum(math.prod(shape[:-d]) for shape in runs) == blocks
 
 
 @pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])

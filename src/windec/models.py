@@ -5,16 +5,16 @@ any leading axes, to the predicted next values at their centers
 ``(..., N_c)``; it reads the read-only strided windows that
 ``integrate_predictions`` hands it in place.  Exact stencil oracles
 (upwind transport, explicit diffusion) implement known update rules; the
-learned stencil is a ridge-regressed linear filter over the whole window,
-applied as one banded GEMM per leading in-window offset to each run of
-``BAND`` windows along the last axis where a tile's strides show a window
-view's overlap (a window's last-axis step equals the step between windows),
-and one window row at a time to the cells after the last whole run and to
-windows laid out otherwise.  The global linear model is the deliberately
-non-local baseline that maps whole frames to whole frames.  Fitted from
-fewer frames than a frame has values, the baseline keeps its ridge solution
-in sample space (two n x p factors), so it never holds a dense
-whole-frame-squared weight matrix.
+learned stencil is a ridge-regressed linear filter over the whole window.
+Where a tile's strides show a window view's overlap (a window's last-axis
+step equals the step between windows), it copies the tile's runs of padded
+cells under each block of ``BAND`` windows once, then does one banded GEMM
+per leading in-window offset over all of them; the cells after the last
+whole block, and windows laid out otherwise, take one window row at a time.
+The global linear model is the deliberately non-local baseline that maps
+whole frames to whole frames.  Fitted from fewer frames than a frame has
+values, the baseline keeps its ridge solution in sample space (two n x p
+factors), so it never holds a dense whole-frame-squared weight matrix.
 
 Every predictor declares its dependence radius: cells outside the central
 ``(2r+1)^d`` sub-window never influence its output.
@@ -70,10 +70,13 @@ class Predictor(Protocol):
 
 
 def _check_windows(windows: np.ndarray, window: WindowSpec, channels: int | None = None) -> None:
-    """Windows must end in ``window``'s sizes and, if given, ``channels``."""
+    """Windows must be real numbers ending in ``window``'s sizes and, if given,
+    ``channels``."""
     want = (*window.sizes, windows.shape[-1] if channels is None else channels)
     if windows.shape[-len(want):] != want:
         raise ShapeMismatchError(f"windows {windows.shape} do not match {want}")
+    if windows.dtype.kind not in "biuf":
+        raise DomainError(f"windows must hold real numbers, not {windows.dtype}")
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,12 @@ class DiffusionStencil:
         return mid + self.lam * (nbsum - 2 * d * mid)
 
 
-# Outputs per banded GEMM along the last spatial axis.  Time of
-# integrate_predictions against one row matmul per window row (medians of 9
-# paired calls on a 2-core Xeon) with 4/8/12/16 outputs: 4x256^2 at 17^2
-# 0.48/0.32/0.45/0.30, 4x48^2 at 5^2 0.71/0.67/0.80/0.70, 2x32^3 at 5^3
-# 0.61/0.54/1.19/0.52, 4x1024 at 61 0.73/0.75/0.90/0.83, 4x1024 at 5
-# 1.03/1.02/1.11/1.08.
+# Outputs per banded GEMM along the last spatial axis.  integrate_predictions
+# in ms (three rounds of medians of 9 calls on a 2-core Xeon) with 4/8/12/16
+# outputs: 4x256^2 at 17^2 23-26/20-22/33-35/19-22, 2x32^3 at 5^3
+# 4.6-5.2/3.9-4.1/12-14/3.9-4.7, 4x256^2x2 at 3^2 12-13/12-13/17/13-15,
+# 4x48^2 at 5^2, 4x1024 at 61 and at 5 within 0.1 ms of each other.  On
+# these extents 12 leaves a ragged tail for the row matmuls; 16 ties with 8.
 BAND = 8
 
 
@@ -189,9 +192,11 @@ class LearnedStencil:
     Features are the window cells flattened row-major with channels fastest,
     matching the buffer layout of :class:`BatchTensor`; ``weights`` has shape
     (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,), both held as float64.
-    :meth:`predict_windows` reads strided windows in place, one leading
-    in-window offset at a time, as banded GEMMs over blocks of ``BAND``
-    windows or one window row (``W_d * N_c`` features) at a time.
+    :meth:`predict_windows` works one leading in-window offset at a time: on
+    a window view's tile, one banded GEMM over a copy of the tile's runs of
+    padded cells, one run per block of ``BAND`` windows and grid row;
+    otherwise one window row (``W_d * N_c`` features) at a time, read in
+    place.
     """
 
     window: WindowSpec
@@ -226,12 +231,19 @@ class LearnedStencil:
         window row k times its ``(W_d * N_c, N_c)`` block of the weights.
 
         Where a window's last-axis step equals the step between windows along
-        the last spatial axis (N_c values, as in a :func:`window_view` tile),
-        the rows at offset k of ``BAND`` consecutive windows are one run of
-        ``(BAND + W_d - 1) * N_c`` values, and one GEMM with a banded
-        block-Toeplitz matrix gives all ``BAND * N_c`` of their outputs.  The
-        cells after the last whole block, and windows laid out otherwise, go
-        through one matmul per window row.
+        the last spatial axis (N_c values), and along each leading grid axis
+        of extent > 1 the step between windows equals the in-window step, as
+        in a :func:`window_view` tile, the rows at offset k of ``BAND``
+        consecutive windows are one run of ``(BAND + W_d - 1) * N_c`` padded
+        cells, and a banded block-Toeplitz matrix maps it to all ``BAND * N_c``
+        of their outputs.  The runs under the tile, ``N_i + W_i - 1`` grid rows
+        on each leading axis i (``W_i`` where a tile cut inside a row has
+        dropped the axis), are copied once to a contiguous buffer, about three
+        times the tile's padded rows at 17 x 17.  Offset k's rows of it merge
+        the last grid axis with the blocks into one BLAS operand, so a 2-D
+        tile takes one GEMM per offset, not one per grid row.  The cells after
+        the last whole block, and windows laid out otherwise, go through one
+        matmul per window row.
         """
         _check_windows(windows, self.window, self.channels)
         sizes, nc = self.window.sizes, self.channels
@@ -240,10 +252,15 @@ class LearnedStencil:
         offsets = list(itertools.product(*(range(s) for s in sizes[:-1])))
         out = np.empty((*windows.shape[:-d - 1], nc))
         out[...] = self.bias
-        strides, item = windows.strides, windows.itemsize
+        shape, strides, item = windows.shape, windows.strides, windows.itemsize
+        # the tile's extents along grid axes 1..d-1, 1 where a tile cut inside
+        # a row has dropped the axis
+        grid = [shape[i - 2 * d - 1] if windows.ndim > 2 * d - i else 1 for i in range(d - 1)]
         overlap = (windows.ndim > d + 1 and strides[-1] == item
-                   and strides[-2] == strides[-d - 2] == nc * item)
-        done = windows.shape[-d - 2] // BAND * BAND if overlap else 0
+                   and strides[-2] == strides[-d - 2] == nc * item
+                   and all(n == 1 or strides[i - 2 * d - 1] == strides[i - d - 1]
+                           for i, n in enumerate(grid)))
+        done = shape[-d - 2] // BAND * BAND if overlap and out.size else 0
         rest, out_rest = windows, out
         if done:
             # band[k][(j + m) * N_c + i, j * N_c + o] = kernel[k][m * N_c + i, o]
@@ -252,16 +269,23 @@ class LearnedStencil:
             for j in range(BAND):
                 band[..., j:j + w_d, :, j, :] = taps
             band = band.reshape(*sizes[:-1], (BAND + w_d - 1) * nc, BAND * nc)
-            # runs[..., i, k, :] is row k of windows i * BAND .. (i + 1) * BAND - 1
+            # runs[..., p_1..p_{d-1}, i, :] is the padded run under row p of
+            # windows i * BAND .. (i + 1) * BAND - 1, copied once
+            batch, blocks = shape[:max(0, windows.ndim - 2 * d - 1)], done // BAND
             runs = as_strided(
                 windows,
-                (*windows.shape[:-d - 2], done // BAND, *sizes[:-1], band.shape[-2]),
-                (*strides[:-d - 2], BAND * nc * item, *strides[-d - 1:-2], item),
+                (*batch, *(n + s - 1 for n, s in zip(grid, sizes)), blocks, band.shape[-2]),
+                (*strides[:len(batch)], *strides[-d - 1:-2], BAND * nc * item, item),
                 writeable=False,
-            )
+            ).copy()
+            # with the last grid axis merged into the blocks, offset k's rows
+            # are one slice of each leading grid axis: one BLAS operand
+            runs = runs.reshape(*runs.shape[:-3], -1, runs.shape[-1])
+            steps = (*(1,) * (d - 2), blocks)
             head = out[..., :done, :]
             for k in offsets:
-                head += (runs[(..., *k, slice(None))] @ band[k]).reshape(head.shape)
+                spans = (slice(j * m, (j + n) * m) for j, n, m in zip(k, grid, steps))
+                head += (runs[(..., *spans, slice(None))] @ band[k]).reshape(head.shape)
             rest = windows[(..., slice(done, None)) + (slice(None),) * (d + 1)]
             out_rest = out[..., done:, :]
         if out_rest.size:
@@ -499,11 +523,12 @@ def paper_l2(pred, truth, return_excluded: bool = False):
     logged and optionally returned.
     """
     p, t = _pair(pred, truth)
-    mask = t != 0.0
-    excluded = int(t.size - mask.sum())
+    excluded = int(t.size - np.count_nonzero(t))
     if excluded:
         log.debug("paper_l2 excluded %d zero-truth cells of %d", excluded, t.size)
-    value = float(np.sum(np.abs(p[mask] - t[mask]) / np.abs(t[mask])))
+        mask = t != 0.0
+        p, t = p[mask], t[mask]
+    value = float(np.sum(np.abs(p - t) / np.abs(t)))
     if return_excluded:
         return value, excluded
     return value

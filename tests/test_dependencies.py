@@ -1,7 +1,8 @@
 """The declared dependencies and Python floor in pyproject.toml hold.
 
-Every third-party module the tests import is declared, and no source file
-uses syntax newer than ``requires-python``.
+Every third-party module the tests import is declared, no source file uses
+syntax newer than ``requires-python``, and every strided view the library
+takes is read-only.
 """
 
 import ast
@@ -88,3 +89,29 @@ def test_sources_use_no_syntax_newer_than_requires_python():
     found = [f"{p.relative_to(ROOT)}:{line}" for p in paths
              for line in _syntax_newer_than_3_10(p.read_text(encoding="utf-8"))]
     assert not found, f"syntax newer than Python 3.10: {found}"
+
+
+def _writable_strided_views(source: str) -> list[int]:
+    """Lines calling ``as_strided`` without a literal ``writeable=False``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "as_strided"
+            and not any(k.arg == "writeable" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in node.keywords)]
+
+
+def test_library_takes_only_read_only_strided_views():
+    # a writable as_strided view can alias one cell under many indices, so a
+    # write through it corrupts the grid it views
+    assert _writable_strided_views(
+        "as_strided(a, s, t)\nnp.lib.stride_tricks.as_strided(a, writeable=True)\n"
+        "as_strided(a, writeable=0)\nas_strided(a, **kw)\nas_strided(a, writeable=flag)"
+    ) == [1, 2, 3, 4, 5]
+    assert _writable_strided_views(
+        "as_strided(a, s, t, writeable=False)\nst.as_strided(a, writeable=False).copy()"
+    ) == []
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    assert paths
+    found = [f"{p.relative_to(ROOT)}:{line}" for p in paths
+             for line in _writable_strided_views(p.read_text(encoding="utf-8"))]
+    assert not found, f"as_strided without writeable=False: {found}"

@@ -34,6 +34,7 @@ from windec import (
     sample_training_pairs,
 )
 from windec.models import _solve_ridge
+from windec.windowing import window_view
 from oracles import (
     convolve_stencil_full,
     diffusion_full,
@@ -313,6 +314,20 @@ def test_learned_stencil_holds_list_weights_as_float64_arrays():
     assert integrate_predictions(t, w, st).equals(want)
 
 
+@pytest.mark.parametrize("kind", ["upwind", "diffusion", "learned"])
+@pytest.mark.parametrize("dtype", [complex, object])
+def test_stencils_reject_windows_that_are_not_real_numbers(kind, dtype):
+    w = WindowSpec((3, 3))
+    pred = {
+        "upwind": lambda: UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.5, 0.5)), w),
+        "diffusion": lambda: DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.2), w),
+        "learned": lambda: LearnedStencil(w, np.ones((9, 1)), np.zeros(1), 0.0),
+    }[kind]()
+    windows = window_view(np.zeros((1, 11, 11, 1), dtype), w.sizes)
+    with pytest.raises(DomainError):
+        pred.predict_windows(windows)
+
+
 @pytest.mark.parametrize("sizes,extents,channels,pair_indices", [
     ((5,), (40,), 1, None),
     ((3, 5), (12, 15), 2, None),
@@ -475,6 +490,20 @@ def test_metrics_paper_l2_excludes_zero_cells():
     value, excluded = paper_l2(pred, truth, return_excluded=True)
     assert excluded == 1
     assert value == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("zeros", [0, 37])
+def test_paper_l2_equals_the_gathered_sum(zeros):
+    # gathering only when a truth cell is zero must not change a single bit
+    rng = np.random.default_rng(24)
+    truth = rng.standard_normal((4, 33, 35, 2))
+    truth.flat[rng.choice(truth.size, zeros, replace=False)] = 0.0
+    pred = truth + 0.1 * rng.standard_normal(truth.shape)
+    p, t = pred.ravel(), truth.ravel()
+    mask = t != 0.0
+    want = float(np.sum(np.abs(p[mask] - t[mask]) / np.abs(t[mask])))
+    assert paper_l2(pred, truth, return_excluded=True) == (want, zeros)
+    assert paper_l2(BatchTensor(pred), BatchTensor(truth)) == want
 
 
 def test_metrics_degenerate_truth():

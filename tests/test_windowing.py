@@ -425,18 +425,26 @@ def test_window_rows_are_read_only_views_of_window_rows(sizes, extents, channels
     ((3, 3, 5), (3, 2, 16), 2),
     ((3, 5, 3), (2, 3, 33), 1),
     ((5, 3, 3), (3, 2, 23), 2),
+    # 3-D tiles of several frames with banded blocks in every row, and 2-channel
+    # rows cut into pieces of several blocks and a ragged tail
+    ((3, 3, 3), (4, 3, 17), 1),
+    ((5, 3, 5), (3, 5, 24), 2),
+    ((5, 5), (6, 26), 2),
+    ((3, 5, 3), (2, 3, 18), 2),
 ])
 # whole: one tile for the whole batch; rows: two whole rows of the first axis per
-# tile, the last one ragged where that extent is odd; pieces: runs of N_d - 1
-# cells along the last axis, so each row ends in a ragged piece; cells: one
-# cell per tile
-@pytest.mark.parametrize("tiling", ["whole", "rows", "pieces", "cells"])
+# tile, the last one ragged where that extent is odd; lines: two whole lines
+# along the last axis per tile, so a 3-D tile drops the first grid axis; pieces:
+# runs of N_d - 1 cells along the last axis, so each row ends in a ragged piece;
+# cells: one cell per tile
+@pytest.mark.parametrize("tiling", ["whole", "rows", "lines", "pieces", "cells"])
 def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, channels,
                                                tiling):
     w = WindowSpec(sizes)
     tile_cells = {
         "whole": None,
         "rows": 2 * math.prod(extents[1:]),
+        "lines": 2 * extents[-1],
         "pieces": max(1, extents[-1] - 1),
         "cells": 1,
     }[tiling]
@@ -452,7 +460,7 @@ def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, chan
 
 
 def _spy_band_runs(monkeypatch):
-    """Record the shape of every banded-GEMM run view the learned stencil makes."""
+    """Record the shape of every banded-GEMM run buffer the learned stencil copies."""
     runs = []
 
     def spy(*args, **kwargs):
@@ -488,6 +496,46 @@ def test_stencil_takes_row_matmuls_for_windows_laid_out_otherwise(monkeypatch, s
     assert len(runs) == 1
 
 
+@pytest.mark.parametrize("sizes,extents", [((5,), (17,)), ((3, 5), (6, 17)),
+                                           ((3, 3, 3), (4, 5, 17))])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_stencil_maps_empty_tiles_to_empty_centers(sizes, extents, axis):
+    rng = np.random.default_rng(26)
+    w = WindowSpec(sizes)
+    st = _random_stencil(rng, w, 1)
+    windows = window_view(rng.standard_normal((2, *extents, 1)), sizes)
+    empty = windows[(slice(None),) * min(axis, w.ndim) + (slice(0, 0),)]
+    assert st.predict_windows(empty).shape == (*empty.shape[:-w.ndim - 1], 1)
+
+
+@pytest.mark.parametrize("sizes,extents,channels,axis", [
+    ((3, 5), (6, 17), 2, 1),
+    ((3, 3, 3), (4, 5, 17), 1, 1),
+    ((3, 3, 3), (4, 5, 17), 1, 2),
+])
+def test_stencil_reads_every_other_row_of_windows(monkeypatch, sizes, extents, channels,
+                                                  axis):
+    # every other window along a leading grid axis: windows still overlap along
+    # the last axis, but rows p and p + 1 of the tile are two grid rows apart, so
+    # the runs under them are not one strided view of the grid
+    rng = np.random.default_rng(25)
+    w = WindowSpec(sizes)
+    a = rng.standard_normal((2, *extents, channels))
+    st = _random_stencil(rng, w, channels)
+    padded = np.pad(a, [(0, 0), *((r, r) for r in w.radius), (0, 0)])
+    want = convolve_stencil_full(a, st.weights, st.bias, sizes)
+    every_other = (slice(None),) * axis + (slice(None, None, 2),)
+    runs = _spy_band_runs(monkeypatch)
+    got = st.predict_windows(window_view(padded, sizes)[every_other])
+    assert np.max(np.abs(got - want[every_other])) <= 1e-12
+    assert runs == []
+    # a single such row has nothing to skip, so its whole blocks go banded
+    one_row = (slice(None),) * axis + (slice(2, 3),)
+    got = st.predict_windows(window_view(padded, sizes)[one_row])
+    assert np.max(np.abs(got - want[one_row])) <= 1e-12
+    assert len(runs) == 1
+
+
 @pytest.mark.parametrize("sizes,extents", [((5,), (40,)), ((5, 5), (12, 21)),
                                            ((3, 3, 3), (4, 3, 17))])
 @pytest.mark.parametrize("tile_cells", [None, 12])
@@ -514,8 +562,10 @@ def test_integrate_hands_learned_stencil_banded_tiles(monkeypatch, sizes, extent
     d = w.ndim
     blocks = sum(math.prod(s[:-d - 2]) * (s[-d - 2] // models.BAND) for s in tiles)
     assert blocks > 0
-    # a run view is (..., blocks, W_1..W_{d-1}, run)
-    assert sum(math.prod(shape[:-d]) for shape in runs) == blocks
+    # a run buffer is (..., N_1 + W_1 - 1 .., N_{d-1} + W_{d-1} - 1, blocks, run)
+    assert sum(math.prod(shape[:-d - 1]) * shape[-2]
+               * math.prod(n - s + 1 for n, s in zip(shape[-d - 1:-2], sizes))
+               for shape in runs) == blocks
 
 
 @pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])

@@ -546,7 +546,9 @@ def read_dataset(path) -> Dataset:
     """Parse a dataset container, rejecting unknown magic or version.
 
     A file that does not decode to a valid dataset, one holding a NaN or
-    Inf included, raises :class:`FormatError`.
+    Inf included, raises :class:`FormatError`.  Each frame is read straight
+    into the array its :class:`BatchTensor` adopts, so the payload is held
+    once.
     """
     with open(path, "rb") as fh:
         magic, version, kind_code, d, _ = struct.unpack(
@@ -591,9 +593,10 @@ def read_dataset(path) -> Dataset:
         check_payload(fh, (n_steps + 1) * frame_bytes, "frames")
         frames = []
         for t in range(n_steps + 1):
-            raw = read_exact(fh, frame_bytes, f"frame {t}")
-            arr = np.frombuffer(raw, dtype="<f8").reshape(grid.dims)
+            arr = np.empty(grid.dims, dtype="<f8")
+            if fh.readinto(arr) != frame_bytes:
+                raise FormatError(f"truncated file while reading frame {t}")
             if not np.isfinite(arr).all():
                 raise FormatError(f"frame {t} holds NaN or Inf")
-            frames.append(BatchTensor(arr.copy()))
+            frames.append(BatchTensor(arr))
     return Dataset(_KIND_NAMES[kind_code], tuple(frames), pde, seed, meta)

@@ -45,6 +45,7 @@ from .errors import (
 )
 from .generators import Dataset, GridPde, check_payload, read_exact
 from .tensor import BatchTensor
+from . import windowing
 from .windowing import WindowSpec, window_view
 
 log = logging.getLogger(__name__)
@@ -69,14 +70,18 @@ class Predictor(Protocol):
     def predict_windows(self, windows: np.ndarray) -> np.ndarray: ...
 
 
+def _check_real(windows: np.ndarray) -> None:
+    if windows.dtype.kind not in "biuf":
+        raise DomainError(f"windows must hold real numbers, not {windows.dtype}")
+
+
 def _check_windows(windows: np.ndarray, window: WindowSpec, channels: int | None = None) -> None:
     """Windows must be real numbers ending in ``window``'s sizes and, if given,
     ``channels``."""
     want = (*window.sizes, windows.shape[-1] if channels is None else channels)
     if windows.shape[-len(want):] != want:
         raise ShapeMismatchError(f"windows {windows.shape} do not match {want}")
-    if windows.dtype.kind not in "biuf":
-        raise DomainError(f"windows must hold real numbers, not {windows.dtype}")
+    _check_real(windows)
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,7 @@ class IdentityPredictor:
         return (0,) * self.ndim
 
     def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        _check_real(windows)
         sizes = windows.shape[-self.ndim - 1:-1]
         return windows[(..., *((w - 1) // 2 for w in sizes), slice(None))]
 
@@ -341,6 +347,10 @@ def _solve_ridge(
     Raises SingularSystem when lam == 0 and the system is rank deficient.
     Centering leaves rank at most n - 1, so that always holds for lam == 0
     when n <= p.
+
+    Takes ownership of ``x`` and ``y``: they are centered in place, so no
+    second n x p array exists, and the dual factor ``X^T`` is a view of the
+    centered ``x``.  Pass arrays that nothing else reads.
     """
     if lam < 0:
         raise DomainError("ridge_lambda must be non-negative")
@@ -352,15 +362,15 @@ def _solve_ridge(
         )
     xm = x.mean(axis=0)
     ym = y.mean(axis=0)
-    xc = x - xm
-    yc = y - ym
+    x -= xm
+    y -= ym
     dual = n < p
     if dual:
-        a = xc @ xc.T + lam * np.eye(n)
-        b = yc
+        a = x @ x.T + lam * np.eye(n)
+        b = y
     else:
-        a = xc.T @ xc + lam * np.eye(p)
-        b = xc.T @ yc
+        a = x.T @ x + lam * np.eye(p)
+        b = x.T @ y
     try:
         w = np.linalg.solve(a, b)
         w = w + np.linalg.solve(a, b - a @ w)
@@ -375,7 +385,7 @@ def _solve_ridge(
             f"normal-equation residual {resid / b_norm:.3g} > 1e-8; "
             "increase ridge_lambda"
         )
-    return ((xc.T, w) if dual else (w,)), xm, ym
+    return ((x.T, w) if dual else (w,)), xm, ym
 
 
 def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarray:
@@ -405,7 +415,9 @@ def sample_training_pairs(
 
     Cells are sampled uniformly over frame pairs, batch items, and interior
     positions at least half a window from every boundary, so each feature
-    vector is a fully in-domain window.
+    vector is a fully in-domain window.  Windows are gathered straight into
+    the returned ``x``, at most ``TILE_BYTES`` of them per gather, so no
+    second copy of the samples exists on the way.
     """
     pairs = _training_pairs(ds, pair_indices)
     if w.ndim != ds.grid.ndim:
@@ -432,10 +444,13 @@ def sample_training_pairs(
     x = np.empty((sample_budget, n_features))
     y = np.empty((sample_budget, ds.grid.channels))
     starts = cells - np.asarray(radius)  # the window of center c starts at c - r
+    step = max(1, windowing.TILE_BYTES // (n_features * x.itemsize))
     for t in np.unique(ts):
-        take = ts == t
-        at = (bs[take], *starts[take].T)
-        x[take] = window_view(ds.frames[t].data, w.sizes)[at].reshape(-1, n_features)
+        take = np.flatnonzero(ts == t)
+        windows = window_view(ds.frames[t].data, w.sizes)
+        for i in range(0, take.size, step):
+            rows = take[i:i + step]
+            x[rows] = windows[(bs[rows], *starts[rows].T)].reshape(-1, n_features)
         y[take] = ds.frames[t + 1].data[(bs[take], *cells[take].T)]
     return x, y
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     back = read_dataset(path)
     assert back.equals(ds)
     assert back.pde.c is None  # unset speed survives the round trip
+
+
+def test_read_dataset_holds_each_frame_once(tmp_path):
+    # a frame read to bytes and then copied would hold a whole frame twice
+    rng = np.random.default_rng(4)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 64, 64, 1))) for _ in range(4))
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(a.equals(b) for a, b in zip(back.frames, frames))
+    payload = sum(f.data.nbytes for f in back.frames)
+    assert peak - payload < 0.5 * frames[0].data.nbytes
 
 
 def test_dataset_rewrite_is_byte_identical(tmp_path):

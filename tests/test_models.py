@@ -33,6 +33,7 @@ from windec import (
     rel_l2,
     sample_training_pairs,
 )
+from windec import windowing
 from windec.models import _solve_ridge
 from windec.windowing import window_view
 from oracles import (
@@ -262,7 +263,8 @@ def test_solve_ridge_matches_svd_oracle(case):
     else:
         x, y = random_regression(400, 30)
         x_test, _ = random_regression(50, 30, seed=16)
-    factors, xm, ym = _solve_ridge(x, y, lam)
+    # _solve_ridge centers its arguments in place
+    factors, xm, ym = _solve_ridge(x.copy(), y.copy(), lam)
     want_w, want_bias = ridge_svd(x, y, lam)
     for inputs in (x, x_test):
         pred = functools.reduce(np.matmul, factors, inputs - xm) + ym
@@ -314,11 +316,12 @@ def test_learned_stencil_holds_list_weights_as_float64_arrays():
     assert integrate_predictions(t, w, st).equals(want)
 
 
-@pytest.mark.parametrize("kind", ["upwind", "diffusion", "learned"])
+@pytest.mark.parametrize("kind", ["upwind", "diffusion", "learned", "identity"])
 @pytest.mark.parametrize("dtype", [complex, object])
 def test_stencils_reject_windows_that_are_not_real_numbers(kind, dtype):
     w = WindowSpec((3, 3))
     pred = {
+        "identity": lambda: IdentityPredictor(2),
         "upwind": lambda: UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.5, 0.5)), w),
         "diffusion": lambda: DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.2), w),
         "learned": lambda: LearnedStencil(w, np.ones((9, 1)), np.zeros(1), 0.0),
@@ -345,6 +348,54 @@ def test_sample_training_pairs_matches_per_sample_loop(sizes, extents, channels,
     want_x, want_y = sample_pairs_loop(ds, w, 500, seed=5, pair_indices=pair_indices)
     assert np.array_equal(x, want_x)
     assert np.array_equal(y, want_y)
+
+
+def test_sample_training_pairs_gathers_a_few_windows_at_a_time(monkeypatch):
+    # 3 windows of 3 x 5 x 2 values per gather: many per frame pair, the last ragged
+    monkeypatch.setattr(windowing, "TILE_BYTES", 3 * 30 * 8 + 7)
+    rng = np.random.default_rng(23)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 12, 15, 2))) for _ in range(4))
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    w = WindowSpec((3, 5))
+    x, y = sample_training_pairs(ds, w, 100, seed=6)
+    want_x, want_y = sample_pairs_loop(ds, w, 100, seed=6)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(y, want_y)
+
+
+@pytest.mark.parametrize("dims, sizes", [
+    ((1, 64, 64, 1), (17, 17)),
+    ((2, 32, 32, 32, 1), (9, 9, 9)),
+])
+def test_fit_stencil_holds_one_copy_of_the_samples(dims, sizes):
+    # the 4096 x p samples x dominate; a gather or a centered copy beside them
+    # would hold them twice
+    rng = np.random.default_rng(24)
+    frames = tuple(BatchTensor(rng.standard_normal(dims)) for _ in range(3))
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    w = WindowSpec(sizes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_stencil(ds, w, sample_budget=4096)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    p = w.cells
+    assert peak < 4096 * p * 8 + 3 * p * p * 8 + windowing.TILE_BYTES
+
+
+@pytest.mark.parametrize("case", ["dual-c09", "primal"])
+def test_fits_leave_frames_unchanged_and_unshared(case):
+    ds = advection_dataset(batch=4) if case == "dual-c09" else primal_dataset()
+    before = [f.data.tobytes() for f in ds.frames]
+    if case == "dual-c09":  # the primal frames are too small for a window
+        sample_training_pairs(ds, WindowSpec((3, 3)), 64, seed=0)
+        fit_stencil(ds, WindowSpec((3, 3)), sample_budget=64)
+    model = fit_global_linear(ds, sample_budget=64)
+    assert [f.data.tobytes() for f in ds.frames] == before
+    for factor in model.factors:
+        assert not any(np.shares_memory(factor, f.data) for f in ds.frames)
 
 
 def test_fit_deterministic():

@@ -30,7 +30,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .tensor import BatchTensor, Shape, impulse, pad_zeros
+from .tensor import BatchTensor, Shape, pad_zeros
 from .windowing import (
     ExpansionRecord,
     WindowSpec,

@@ -8,9 +8,12 @@ any leading axes, to the predicted next values at their centers
 learned stencil is a ridge-regressed linear filter over the whole window.
 Where a tile's strides show a window view's overlap (a window's last-axis
 step equals the step between windows), it copies the tile's runs of padded
-cells under each block of ``BAND`` windows once, then does one banded GEMM
-per leading in-window offset over all of them; the cells after the last
-whole block, and windows laid out otherwise, take one window row at a time.
+cells under each block of ``BAND`` windows once, laid out so that the runs
+under one output row of one block are one stretch of memory; then one matmul
+per outer in-window offset (one per 2-D tile, ``W_1`` per 3-D tile) applies
+the stacked banded matrices of every row offset to all of them.  The cells
+after the last whole block, and windows laid out otherwise, take one window
+row at a time.
 The global linear model is the deliberately non-local baseline that maps
 whole frames to whole frames.  Fitted from fewer frames than a frame has
 values, the baseline keeps its ridge solution in sample space (two n x p
@@ -176,11 +179,13 @@ class DiffusionStencil:
 
 
 # Outputs per banded GEMM along the last spatial axis.  integrate_predictions
-# in ms (three rounds of medians of 9 calls on a 2-core Xeon) with 4/8/12/16
-# outputs: 4x256^2 at 17^2 23-26/20-22/33-35/19-22, 2x32^3 at 5^3
-# 4.6-5.2/3.9-4.1/12-14/3.9-4.7, 4x256^2x2 at 3^2 12-13/12-13/17/13-15,
-# 4x48^2 at 5^2, 4x1024 at 61 and at 5 within 0.1 ms of each other.  On
-# these extents 12 leaves a ragged tail for the row matmuls; 16 ties with 8.
+# in ms with 4/8/12/16 outputs on a 2-core Xeon (medians of 9 rounds, each
+# the median of 10 calls; rounds spread by up to +-20%): 4x256^2 at 17^2
+# 15.8/16.1/27.6/18.3, 2x48^3 at 9^3 34/27/61/43, 2x32^3 at 5^3
+# 5.0/4.1/13.2/3.9, 4x256^2x2 at 3^2 13.4/12.3/13.5/11.2; 4x48^2 at 5^2 and
+# 4x1024 at 61 and at 5 within 0.1 ms of each other.  On these extents 12
+# leaves a ragged tail for the row matmuls; 4 and 16 tie with 8 on some
+# shapes and lose on others.
 BAND = 8
 
 
@@ -198,11 +203,11 @@ class LearnedStencil:
     Features are the window cells flattened row-major with channels fastest,
     matching the buffer layout of :class:`BatchTensor`; ``weights`` has shape
     (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,), both held as float64.
-    :meth:`predict_windows` works one leading in-window offset at a time: on
-    a window view's tile, one banded GEMM over a copy of the tile's runs of
+    On a window view's tile :meth:`predict_windows` takes one matmul per
+    outer in-window offset (k_1..k_{d-2}) over a copy of the tile's runs of
     padded cells, one run per block of ``BAND`` windows and grid row;
-    otherwise one window row (``W_d * N_c`` features) at a time, read in
-    place.
+    otherwise one matmul per leading in-window offset, each over one window
+    row (``W_d * N_c`` features) of every window, read in place.
     """
 
     window: WindowSpec
@@ -240,16 +245,20 @@ class LearnedStencil:
         the last spatial axis (N_c values), and along each leading grid axis
         of extent > 1 the step between windows equals the in-window step, as
         in a :func:`window_view` tile, the rows at offset k of ``BAND``
-        consecutive windows are one run of ``(BAND + W_d - 1) * N_c`` padded
-        cells, and a banded block-Toeplitz matrix maps it to all ``BAND * N_c``
-        of their outputs.  The runs under the tile, ``N_i + W_i - 1`` grid rows
-        on each leading axis i (``W_i`` where a tile cut inside a row has
-        dropped the axis), are copied once to a contiguous buffer, about three
-        times the tile's padded rows at 17 x 17.  Offset k's rows of it merge
-        the last grid axis with the blocks into one BLAS operand, so a 2-D
-        tile takes one GEMM per offset, not one per grid row.  The cells after
-        the last whole block, and windows laid out otherwise, go through one
-        matmul per window row.
+        consecutive windows are one run of ``run = (BAND + W_d - 1) * N_c``
+        padded cells, and a banded block-Toeplitz matrix maps it to all
+        ``BAND * N_c`` of their outputs.  The runs under the tile are copied
+        once to a contiguous ``(..., L_1..L_{d-2}, blocks, L_{d-1}, run)``
+        buffer, with ``L_i = N_i + W_i - 1`` grid rows on leading axis i
+        (``N_i`` is 1 where a tile cut inside a row has dropped the axis):
+        about three times the tile's padded rows at 17 x 17.  The ``W_{d-1}``
+        runs under one output row of one block are then one stretch of
+        ``W_{d-1} * run`` values, so the ``W_{d-1}`` band matrices of an outer
+        offset (k_1..k_{d-2}) stack into one ``(W_{d-1} * run, BAND * N_c)``
+        matrix, and the sum over k_{d-1} runs inside BLAS: one matmul per
+        2-D tile, ``W_1`` per 3-D tile, and one per 1-D tile, which has a
+        unit leading axis.  The cells after the last whole block, and windows
+        laid out otherwise, go through one matmul per window row.
         """
         _check_windows(windows, self.window, self.channels)
         sizes, nc = self.window.sizes, self.channels
@@ -269,29 +278,39 @@ class LearnedStencil:
         done = shape[-d - 2] // BAND * BAND if overlap and out.size else 0
         rest, out_rest = windows, out
         if done:
-            # band[k][(j + m) * N_c + i, j * N_c + o] = kernel[k][m * N_c + i, o]
-            taps = self.weights.reshape(*sizes, nc, nc)
-            band = np.zeros((*sizes[:-1], BAND + w_d - 1, nc, BAND, nc))
+            # a 1-D window gets a unit leading axis: one offset, one grid row
+            lead, grid, lsteps = ((sizes[:-1], grid, strides[-d - 1:-2]) if d > 1
+                                  else ((1,), [1], (0,)))
+            run = (BAND + w_d - 1) * nc
+            # band[k'][q * run + (j + m) * N_c + i, j * N_c + o] =
+            # kernel[k', q][m * N_c + i, o]: the W_{d-1} band matrices of outer
+            # offset k' stacked along K
+            taps = self.weights.reshape(*lead, w_d, nc, nc)
+            band = np.zeros((*lead, BAND + w_d - 1, nc, BAND, nc))
             for j in range(BAND):
                 band[..., j:j + w_d, :, j, :] = taps
-            band = band.reshape(*sizes[:-1], (BAND + w_d - 1) * nc, BAND * nc)
-            # runs[..., p_1..p_{d-1}, i, :] is the padded run under row p of
-            # windows i * BAND .. (i + 1) * BAND - 1, copied once
+            band = band.reshape(*lead[:-1], lead[-1] * run, BAND * nc)
+            # runs[..., p_1..p_{d-2}, i, p_{d-1}, :] is the padded run under row p
+            # of windows i * BAND .. (i + 1) * BAND - 1, copied once; the
+            # W_{d-1} runs under one output row of one block are then one
+            # stretch of W_{d-1} * run values
             batch, blocks = shape[:max(0, windows.ndim - 2 * d - 1)], done // BAND
             runs = as_strided(
                 windows,
-                (*batch, *(n + s - 1 for n, s in zip(grid, sizes)), blocks, band.shape[-2]),
-                (*strides[:len(batch)], *strides[-d - 1:-2], BAND * nc * item, item),
+                (*batch, *(n + s - 1 for n, s in zip(grid[:-1], lead[:-1])), blocks,
+                 grid[-1] + lead[-1] - 1, run),
+                (*strides[:len(batch)], *lsteps[:-1], BAND * nc * item, lsteps[-1], item),
                 writeable=False,
             ).copy()
-            # with the last grid axis merged into the blocks, offset k's rows
-            # are one slice of each leading grid axis: one BLAS operand
-            runs = runs.reshape(*runs.shape[:-3], -1, runs.shape[-1])
-            steps = (*(1,) * (d - 2), blocks)
-            head = out[..., :done, :]
-            for k in offsets:
-                spans = (slice(j * m, (j + n) * m) for j, n, m in zip(k, grid, steps))
-                head += (runs[(..., *spans, slice(None))] @ band[k]).reshape(head.shape)
+            head, step = out[..., :done, :], runs.strides
+            for k in itertools.product(*(range(s) for s in lead[:-1])):
+                # rows n and blocks i of one outer offset: row step run, block
+                # step (N_{d-1} + W_{d-1} - 1) * run >= K, so each (blocks, K)
+                # matrix is a BLAS operand
+                operand = as_strided(
+                    runs[(..., *k, 0, 0, 0)], (*batch, *grid, blocks, lead[-1] * run),
+                    (*step[:-3], step[-2], step[-3], item), writeable=False)
+                head += np.matmul(operand, band[k]).reshape(head.shape)
             rest = windows[(..., slice(done, None)) + (slice(None),) * (d + 1)]
             out_rest = out[..., done:, :]
         if out_rest.size:
@@ -521,14 +540,41 @@ def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     return p.ravel(), t.ravel()
 
 
-def rel_l2(pred, truth) -> float:
-    """Norm-ratio error ||pred - truth||_2 / ||truth||_2."""
-    p, t = _pair(pred, truth)
+def _rel_l2(d: np.ndarray, t: np.ndarray) -> float:
     den = float(np.linalg.norm(t))
-    num = float(np.linalg.norm(p - t))
+    num = float(np.linalg.norm(d))
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den
+
+
+def _paper_l2(d: np.ndarray, t: np.ndarray) -> tuple[float, int]:
+    """The summed |d_i| / |t_i| over cells with non-zero truth, and how many
+    cells have zero truth.  Overwrites ``d`` when no truth cell is zero."""
+    excluded = int(t.size - np.count_nonzero(t))
+    if excluded:
+        log.debug("paper_l2 excluded %d zero-truth cells of %d", excluded, t.size)
+        mask = t != 0.0
+        d, t = d[mask], t[mask]
+    # |d / t| is |d| / |t| bit for bit, and needs no second array
+    np.divide(d, t, out=d)
+    return float(np.sum(np.abs(d, out=d))), excluded
+
+
+def _r2(d: np.ndarray, t: np.ndarray) -> float:
+    """1 - SS_res / SS_tot, summing each in ``d``'s memory.  Overwrites ``d``."""
+    ss_res = float(np.sum(np.square(d, out=d)))
+    np.subtract(t, t.mean(), out=d)
+    ss_tot = float(np.sum(np.square(d, out=d)))
+    if ss_tot == 0.0:
+        raise DegenerateTruth("truth has zero variance; r2 is undefined")
+    return 1.0 - ss_res / ss_tot
+
+
+def rel_l2(pred, truth) -> float:
+    """Norm-ratio error ||pred - truth||_2 / ||truth||_2."""
+    p, t = _pair(pred, truth)
+    return _rel_l2(p - t, t)
 
 
 def paper_l2(pred, truth, return_excluded: bool = False):
@@ -538,12 +584,7 @@ def paper_l2(pred, truth, return_excluded: bool = False):
     logged and optionally returned.
     """
     p, t = _pair(pred, truth)
-    excluded = int(t.size - np.count_nonzero(t))
-    if excluded:
-        log.debug("paper_l2 excluded %d zero-truth cells of %d", excluded, t.size)
-        mask = t != 0.0
-        p, t = p[mask], t[mask]
-    value = float(np.sum(np.abs(p - t) / np.abs(t)))
+    value, excluded = _paper_l2(p - t, t)
     if return_excluded:
         return value, excluded
     return value
@@ -552,14 +593,21 @@ def paper_l2(pred, truth, return_excluded: bool = False):
 def r2(pred, truth) -> float:
     """Coefficient of determination 1 - SS_res / SS_tot."""
     p, t = _pair(pred, truth)
-    ss_tot = float(np.sum((t - t.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise DegenerateTruth("truth has zero variance; r2 is undefined")
-    return 1.0 - float(np.sum((p - t) ** 2)) / ss_tot
+    return _r2(p - t, t)
 
 
 def metrics_record(pred, truth) -> MetricsRecord:
-    return MetricsRecord(rel_l2(pred, truth), paper_l2(pred, truth), r2(pred, truth))
+    """All three metrics with one frame-sized array, the differences ``d``.
+
+    The paper sum and r2 each overwrite ``d``, so it is formed a second time
+    in the same memory; each value is bit-identical to its own function's.
+    """
+    p, t = _pair(pred, truth)
+    d = p - t
+    rel = _rel_l2(d, t)
+    paper, _ = _paper_l2(d, t)
+    np.subtract(p, t, out=d)
+    return MetricsRecord(rel, paper, _r2(d, t))
 
 
 # --- stencil container ------------------------------------------------------

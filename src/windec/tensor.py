@@ -4,10 +4,10 @@ A :class:`BatchTensor` holds a batch of structured grid fields in one
 contiguous float64 buffer laid out row-major with the batch axis slowest and
 the channel axis fastest, i.e. element ``(b, i_1..i_d, c)`` lives at flat
 index ``((..(b*N_1 + i_1)*N_2 + i_2 ..)*N_c + c)``.  The buffer is read-only,
-so tensors can be shared without defensive copies.  ``pad_zeros`` and
-``impulse`` build fresh tensors and never mutate their inputs; prediction
-pads a grid once with ``pad_zeros`` and reads its windows through a strided
-view (see :mod:`windec.windowing`).
+so tensors can be shared without defensive copies.  ``pad_zeros`` builds a
+fresh tensor and never mutates its input; prediction pads a grid once with
+it and reads its windows through a strided view (see
+:mod:`windec.windowing`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeMismatchError, SliceBoundsError
+from .errors import DomainError, RankError, ShapeMismatchError
 
 MAX_SPATIAL_RANK = 3
 
@@ -134,15 +134,3 @@ def pad_zeros(
     widths = ((0, 0), *zip(before, after), (0, 0))
     return BatchTensor(np.pad(t.data, widths))
 
-
-def impulse(shape: Shape, pos: Sequence[int]) -> BatchTensor:
-    """All-zero tensor with a single 1.0 at (batch 0, pos, channel 0)."""
-    pos = tuple(int(n) for n in pos)
-    if len(pos) != shape.ndim:
-        raise RankError(f"position must have rank {shape.ndim}")
-    for i, (p, full) in enumerate(zip(pos, shape.spatial)):
-        if not 0 <= p < full:
-            raise SliceBoundsError(f"spatial dim {i}: index {p} outside extent {full}")
-    a = np.zeros(shape.dims)
-    a[(0, *pos, 0)] = 1.0
-    return BatchTensor(a)

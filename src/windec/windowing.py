@@ -42,13 +42,13 @@ from .tensor import BatchTensor, pad_zeros
 
 # Most bytes of window rows (W_d * N_c values per cell) one tile covers; a
 # predictor that copies its tile copies up to prod(W_1..W_{d-1}) times this.
-# On a 2-core Xeon with 2 MB of L2 per core, a learned 17x17 stencil (one
-# banded GEMM per offset per tile, see models.BAND) took
-# 37-45/26-29/20-22/17-18/17-18 ms on a 4x256^2 frame with caps of
-# 0.25/0.5/1/2/4 MB (four rounds of medians of 9): its fixed cost of about
-# 0.2 ms per call is paid on fewer tiles as they grow.  2 MB is about 10%
-# faster on a whole eval pass too, but doubles what every predictor holds
-# per tile (about 0.5 MB for that stencil at 1 MB).
+# On a 2-core Xeon with 2 MB of L2 per core, the learned stencil (one matmul
+# per 2-D tile, W_1 per 3-D tile, see models.BAND) took 20/16/16/14/14.5 ms
+# on a 4x256^2 frame at 17x17 and 41/31/26/24/25 ms on 2x48^3 at 9^3 with
+# caps of 0.25/0.5/1/2/4 MB (medians of 7 rounds of 10 calls; rounds spread
+# by up to +-20%): below 1 MB its fixed cost per call is paid on too many
+# tiles.  2 MB is within that spread of 1 MB but doubles what every
+# predictor holds per tile (about 0.5 MB for that stencil at 1 MB).
 TILE_BYTES = 1 << 20
 
 

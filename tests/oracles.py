@@ -6,7 +6,8 @@ and correlation routines, explicit padded-array slicing, per-block
 split/stack decomposition, one-sample-at-a-time loops, or an SVD in place
 of the normal equations.  The copy-based ``split``, ``stack`` and
 ``slice_region`` primitives that the per-offset sweep is built from live
-here too; the library's prediction path does not use them.
+here too, as does the unit ``impulse``; the library's prediction path does
+not use them.
 """
 
 import math
@@ -194,6 +195,19 @@ def slice_region(t, start, extent):
     idx = (slice(None), *(slice(s, s + n) for s, n in zip(start, extent)), slice(None))
     return BatchTensor(np.ascontiguousarray(t.data[idx]))
 
+
+
+def impulse(shape, pos):
+    """All-zero tensor with a single 1.0 at (batch 0, pos, channel 0)."""
+    pos = tuple(int(n) for n in pos)
+    if len(pos) != shape.ndim:
+        raise RankError(f"position must have rank {shape.ndim}")
+    for i, (p, full) in enumerate(zip(pos, shape.spatial)):
+        if not 0 <= p < full:
+            raise SliceBoundsError(f"spatial dim {i}: index {p} outside extent {full}")
+    a = np.zeros(shape.dims)
+    a[(0, *pos, 0)] = 1.0
+    return BatchTensor(a)
 
 def split_stack_chunk(t, blocks):
     """Window batch by d rounds of: split spatial axis i, stack onto the batch axis."""

@@ -22,13 +22,12 @@ from windec import (
     generate_dataset,
     harmonic_field,
     heat_step,
-    impulse,
     sample_bumps,
     sin_field,
 )
 from windec.config import DatasetConfig
 
-from oracles import burgers_loop
+from oracles import burgers_loop, impulse
 
 
 # --- sin_field ----------------------------------------------------------------

@@ -15,6 +15,7 @@ from windec import (
     IdentityPredictor,
     InitialCondition,
     LearnedStencil,
+    MetricsRecord,
     Shape,
     ShapeMismatchError,
     SingularSystem,
@@ -571,3 +572,38 @@ def test_metrics_record_fields():
         pytest.approx(1.0 / 3.0),
         pytest.approx(0.5),
     )
+
+
+@pytest.mark.parametrize("zeros", [0, 37])
+def test_metrics_record_is_bit_identical_to_each_metric(zeros):
+    rng = np.random.default_rng(27)
+    truth = rng.standard_normal((4, 33, 35, 2))
+    truth.flat[rng.choice(truth.size, zeros, replace=False)] = 0.0
+    pred = truth + 0.1 * rng.standard_normal(truth.shape)
+    kept = pred.copy(), truth.copy()
+    rec = metrics_record(BatchTensor(pred), BatchTensor(truth))
+    assert (rec.rel_l2, rec.paper_l2, rec.r2) == (
+        rel_l2(pred, truth), paper_l2(pred, truth), r2(pred, truth))
+    # the values of the one-formula-per-metric definitions, each forming p - t
+    p, t = pred.ravel(), truth.ravel()
+    mask = t != 0.0
+    assert rec == MetricsRecord(
+        float(np.linalg.norm(p - t)) / float(np.linalg.norm(t)),
+        float(np.sum(np.abs(p[mask] - t[mask]) / np.abs(t[mask]))),
+        1.0 - float(np.sum((p - t) ** 2)) / float(np.sum((t - t.mean()) ** 2)))
+    assert np.array_equal(pred, kept[0]) and np.array_equal(truth, kept[1])
+
+
+def test_metrics_record_holds_one_frame_of_differences():
+    rng = np.random.default_rng(28)
+    truth = BatchTensor(1.0 + rng.random((4, 128, 128, 1)))
+    pred = BatchTensor(truth.data + 0.1 * rng.standard_normal(truth.dims))
+    metrics_record(pred, truth)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        metrics_record(pred, truth)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * truth.data.nbytes

@@ -12,10 +12,9 @@ from windec import (
     Shape,
     ShapeMismatchError,
     SliceBoundsError,
-    impulse,
     pad_zeros,
 )
-from oracles import flat_index, slice_region, split, stack
+from oracles import flat_index, impulse, slice_region, split, stack
 
 
 def rand_tensor(rng, dims):

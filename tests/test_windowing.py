@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.lib.stride_tricks import as_strided
 
 from windec import (
     BatchTensor,
@@ -23,7 +22,6 @@ from windec import (
     WindowSpec,
     chunk_domain,
     expand_domain,
-    impulse,
     integrate_predictions,
     receptive_field_probe,
     window_offsets,
@@ -37,6 +35,7 @@ from oracles import (
     convolve_stencil_full,
     expansion_formula,
     gather_window,
+    impulse,
     offset_sweep_integrate,
     slice_region,
     split_stack_chunk,
@@ -459,17 +458,26 @@ def test_stencil_rows_match_convolution_oracle(monkeypatch, sizes, extents, chan
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _spy_band_runs(monkeypatch):
-    """Record the shape of every banded-GEMM run buffer the learned stencil copies."""
-    runs = []
+def _spy_band_gemms(monkeypatch):
+    """Record the operand shape of every banded matmul the learned stencil makes.
 
-    def spy(*args, **kwargs):
-        view = as_strided(*args, **kwargs)
-        runs.append(view.shape)
-        return view
+    Its banded path calls ``np.matmul``; its row path uses ``@``, which does
+    not go through the ``np.matmul`` attribute, so only banded products show.
+    """
+    operands = []
+    matmul = np.matmul
 
-    monkeypatch.setattr(models, "as_strided", spy)
-    return runs
+    def spy(a, b, *args, **kwargs):
+        operands.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return operands
+
+
+def _outer_offsets(sizes):
+    """Banded matmuls per tile: one per in-window offset along W_1..W_{d-2}."""
+    return math.prod(sizes[:-2])
 
 
 @pytest.mark.parametrize("sizes,extents,channels", [
@@ -488,12 +496,12 @@ def test_stencil_takes_row_matmuls_for_windows_laid_out_otherwise(monkeypatch, s
     padded = np.pad(a, [(0, 0), *((r, r) for r in w.radius), (0, 0)])
     tile = window_view(padded, sizes)
     want = convolve_stencil_full(a, st.weights, st.bias, sizes)
-    runs = _spy_band_runs(monkeypatch)
+    gemms = _spy_band_gemms(monkeypatch)
     assert np.max(np.abs(st.predict_windows(tile) - want)) <= 1e-12
-    assert len(runs) == 1
+    assert len(gemms) == _outer_offsets(sizes)
     for copy in (np.ascontiguousarray(tile), np.asfortranarray(tile)):
         assert np.max(np.abs(st.predict_windows(copy) - want)) <= 1e-12
-    assert len(runs) == 1
+    assert len(gemms) == _outer_offsets(sizes)
 
 
 @pytest.mark.parametrize("sizes,extents", [((5,), (17,)), ((3, 5), (6, 17)),
@@ -525,15 +533,30 @@ def test_stencil_reads_every_other_row_of_windows(monkeypatch, sizes, extents, c
     padded = np.pad(a, [(0, 0), *((r, r) for r in w.radius), (0, 0)])
     want = convolve_stencil_full(a, st.weights, st.bias, sizes)
     every_other = (slice(None),) * axis + (slice(None, None, 2),)
-    runs = _spy_band_runs(monkeypatch)
+    gemms = _spy_band_gemms(monkeypatch)
     got = st.predict_windows(window_view(padded, sizes)[every_other])
     assert np.max(np.abs(got - want[every_other])) <= 1e-12
-    assert runs == []
+    assert gemms == []
     # a single such row has nothing to skip, so its whole blocks go banded
     one_row = (slice(None),) * axis + (slice(2, 3),)
     got = st.predict_windows(window_view(padded, sizes)[one_row])
     assert np.max(np.abs(got - want[one_row])) <= 1e-12
-    assert len(runs) == 1
+    assert len(gemms) == _outer_offsets(sizes)
+
+
+def _spy_tiles(monkeypatch, gemms):
+    """Record each tile's shape and the banded matmuls the stencil made on it."""
+    tiles = []
+    predict = LearnedStencil.predict_windows
+
+    def spy(self, windows):
+        before = len(gemms)
+        got = predict(self, windows)
+        tiles.append((windows.shape, gemms[before:]))
+        return got
+
+    monkeypatch.setattr(LearnedStencil, "predict_windows", spy)
+    return tiles
 
 
 @pytest.mark.parametrize("sizes,extents", [((5,), (40,)), ((5, 5), (12, 21)),
@@ -542,30 +565,64 @@ def test_stencil_reads_every_other_row_of_windows(monkeypatch, sizes, extents, c
 def test_integrate_hands_learned_stencil_banded_tiles(monkeypatch, sizes, extents,
                                                       tile_cells):
     # every tile is a window_view tile, so each of its whole blocks of BAND
-    # cells along the last axis must go through a banded GEMM
+    # cells along the last axis must go through a banded GEMM, once per outer
+    # in-window offset
     w = WindowSpec(sizes)
     if tile_cells is not None:
         monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * 8)
     rng = np.random.default_rng(23)
     t = rand_tensor(rng, (2, *extents, 1))
     st = _random_stencil(rng, w, 1)
-    tiles = []
-    predict = LearnedStencil.predict_windows
-
-    def spy(self, windows):
-        tiles.append(windows.shape)
-        return predict(self, windows)
-
-    monkeypatch.setattr(LearnedStencil, "predict_windows", spy)
-    runs = _spy_band_runs(monkeypatch)
+    gemms = _spy_band_gemms(monkeypatch)
+    tiles = _spy_tiles(monkeypatch, gemms)
     integrate_predictions(t, w, st)
     d = w.ndim
-    blocks = sum(math.prod(s[:-d - 2]) * (s[-d - 2] // models.BAND) for s in tiles)
+    blocks = sum(math.prod(s[:-d - 2]) * (s[-d - 2] // models.BAND) for s, _ in tiles)
     assert blocks > 0
-    # a run buffer is (..., N_1 + W_1 - 1 .., N_{d-1} + W_{d-1} - 1, blocks, run)
-    assert sum(math.prod(shape[:-d - 1]) * shape[-2]
-               * math.prod(n - s + 1 for n, s in zip(shape[-d - 1:-2], sizes))
-               for shape in runs) == blocks
+    # an operand is (..., N_1..N_{d-1}, blocks, W_{d-1} * (BAND + W_d - 1))
+    # with N_i = 1 for an axis the tile has dropped, and a 1-D tile's unit axis
+    assert sum(math.prod(shape[:-1]) for shape in gemms) == _outer_offsets(sizes) * blocks
+    k = (sizes[-2] if d > 1 else 1) * (models.BAND + sizes[-1] - 1)
+    assert {shape[-1] for shape in gemms} == {k}
+
+
+@pytest.mark.parametrize("sizes,extents,channels", [
+    ((5,), (40,), 1),
+    ((5, 5), (12, 21), 1),
+    ((3, 7), (5, 26), 2),
+    ((3, 3, 3), (4, 3, 17), 1),
+    ((5, 3, 3), (3, 4, 19), 2),
+])
+@pytest.mark.parametrize("tiling", ["whole", "rows", "cut", "lines"])
+def test_stencil_takes_one_matmul_per_outer_offset_per_tile(monkeypatch, sizes, extents,
+                                                           channels, tiling):
+    # one matmul per 1-D and 2-D tile, W_1 per 3-D tile, whatever the tiling: a
+    # whole batch, two rows of the first grid axis (two blocks in 1-D), 12
+    # cells cut inside a row, or two lines along the last axis (a 3-D tile then
+    # drops the first grid axis); a tile with no whole block of BAND cells
+    # takes none
+    w = WindowSpec(sizes)
+    d = w.ndim
+    rows = 2 * math.prod(extents[1:]) if d > 1 else 2 * models.BAND
+    tile_cells = {"whole": None, "rows": rows, "cut": 12, "lines": 2 * extents[-1]}[tiling]
+    if tile_cells is not None:
+        monkeypatch.setattr(windowing, "TILE_BYTES", tile_cells * sizes[-1] * channels * 8)
+    rng = np.random.default_rng(29)
+    t = rand_tensor(rng, (2, *extents, channels))
+    st = _random_stencil(rng, w, channels)
+    want = convolve_stencil_full(t.data, st.weights, st.bias, sizes)
+    gemms = _spy_band_gemms(monkeypatch)
+    tiles = _spy_tiles(monkeypatch, gemms)
+    got = integrate_predictions(t, w, st).data
+    assert np.max(np.abs(got - want)) <= 1e-12
+    if tiling == "whole":
+        assert len(tiles) == 1
+    for shape, made in tiles:
+        banded = shape[-d - 2] >= models.BAND
+        assert len(made) == (_outer_offsets(sizes) if banded else 0)
+    assert any(made for _, made in tiles)
+    if tiling == "lines" and d == 3:
+        assert all(len(shape) == 2 * d for shape, _ in tiles)
 
 
 @pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])

@@ -11,7 +11,11 @@ Each subcommand declares only the flags it reads::
 ``--config`` names a JSON config (see :mod:`windec.config`) and is required
 wherever it is declared; ``--seed`` and ``--window`` replace the config's
 top-level fields before it is parsed.  A flag that a subcommand does not
-declare, or an abbreviation of one, is a configuration error.  The
+declare, or an abbreviation of one, is a configuration error.  A call
+builds the root parser and only the parser of the command it names, since
+building all six costs about a millisecond per call; ``--help``, an empty
+argument list and an unknown command build all six, so that their usage
+and "invalid choice" messages list every command.  The
 config-driven commands are deterministic given (config, seed) except for
 wall clock timings.  Exit codes: 0 success, 1 configuration error, 2
 runtime error.
@@ -167,7 +171,7 @@ def _out_dir(args, default: str) -> Path:
 
 
 def _nonempty(text: str) -> str:
-    """argparse type of ``--out``: an empty path is refused before anything runs."""
+    """argparse type of path flags: an empty path is refused before anything runs."""
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
@@ -406,57 +410,71 @@ def _load_effective_config(args) -> ExperimentConfig:
 
 
 def _add_config(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p.add_argument("--config", type=_nonempty, required=True,
+                   help="path to a JSON experiment config")
     p.add_argument("--out", type=_nonempty, help="output directory (default: config out_dir)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="windec",
-                     description="Window decomposition pipeline for grid PDE data")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a dataset and write it to disk")
-    _add_config(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("eval", help="fit/evaluate a predictor on a dataset")
+def _add_eval(p: argparse.ArgumentParser) -> None:
     _add_config(p)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--window", default=None,
                    help="override window sizes, comma separated (e.g. 5,5)")
-    p.add_argument("--data", default=None, help="read this .ddld instead of generating")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--data", type=_nonempty, default=None,
+                   help="read this .ddld instead of generating")
 
-    p = sub.add_parser("sweep", help="grid of test r2 over window sizes and frequencies")
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
     _add_config(p)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--windows", required=True, help="comma-separated window cell counts")
     p.add_argument("--freqs", required=True, help="comma-separated frequencies")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="time chunk+patch while scaling block count")
+
+def _add_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=_nonempty, help="output directory (default: results)")
     p.add_argument("--blocks", default="8,16,32,64,128,256",
                    help="comma-separated b_max values, ascending")
     p.add_argument("--reps", type=int, default=5, help="repetitions per point")
     p.add_argument("--bench-window", type=int, default=3, help="window cells per dim")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("probe", help="measure a composed stencil receptive field")
+
+def _add_probe(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--extent", type=int, default=None)
     p.add_argument("--ndim", type=int, default=2, choices=(1, 2, 3))
-    p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("sizing", help="report a recommended window size")
-    _add_config(p)
-    p.set_defaults(func=cmd_sizing)
+
+# name -> (help, flag adder, handler), in the order --help lists them
+_COMMANDS = {
+    "gen": ("generate a dataset and write it to disk", _add_config, cmd_gen),
+    "eval": ("fit/evaluate a predictor on a dataset", _add_eval, cmd_eval),
+    "sweep": ("grid of test r2 over window sizes and frequencies", _add_sweep, cmd_sweep),
+    "bench": ("time chunk+patch while scaling block count", _add_bench, cmd_bench),
+    "probe": ("measure a composed stencil receptive field", _add_probe, cmd_probe),
+    "sizing": ("report a recommended window size", _add_config, cmd_sizing),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with every subcommand, or with only ``command``'s."""
+    parser = _Parser(prog="windec",
+                     description="Window decomposition pipeline for grid PDE data")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_flags, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own parser; --help, no argument and an
+    # unknown command get all six, so usage and "invalid choice" list them
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -2,11 +2,17 @@ import argparse
 import csv
 import json
 import math
+import os
+import re
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import windec
 from windec import (
     BatchTensor,
     Dataset,
@@ -17,6 +23,7 @@ from windec import (
     sin_field,
     write_dataset,
 )
+from windec import cli
 from windec.cli import build_parser, main
 from windec.config import DatasetConfig, ExperimentConfig, PredictorConfig, load_config
 
@@ -477,6 +484,20 @@ def test_empty_output_path_is_config_error(tmp_path, capsys, monkeypatch, argv, 
     assert [p.name for p in tmp_path.iterdir()] == ([] if out_dir is None else ["config.json"])
 
 
+@pytest.mark.parametrize("argv, flag", [
+    *[([*argv, "--config", ""], "--config") for argv in _CONFIG_COMMANDS],
+    (["eval", "--data", ""], "--data"),
+])
+def test_empty_input_path_is_config_error(tmp_path, capsys, monkeypatch, argv, flag):
+    # an empty --data used to fall through to generating the config's dataset
+    monkeypatch.chdir(tmp_path)
+    if flag != "--config":
+        argv = [*argv, "--config", str(write_config(tmp_path, {"out_dir": "out"}))]
+    assert main(argv) == 1
+    assert f"config error: argument {flag}: must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # a fitted predictor needs at least one training pair: floor(n_pairs * split_fraction)
 @pytest.mark.parametrize("argv, kind, n_steps, split", [
     (["eval"], "global", 1, 0.5),
@@ -541,14 +562,51 @@ _FLAGS = {
 }
 
 
-def test_each_command_declares_only_the_flags_it_reads():
-    sub = next(a for a in build_parser()._actions
+@pytest.mark.parametrize("command", [None, *_FLAGS])
+def test_each_command_declares_only_the_flags_it_reads(command):
+    sub = next(a for a in build_parser(command)._actions
                if isinstance(a, argparse._SubParsersAction))
     declared = {
         name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
         for name, p in sub.choices.items()
     }
-    assert declared == _FLAGS
+    assert declared == (_FLAGS if command is None else {command: _FLAGS[command]})
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    assert main(["eval", "--config", str(write_config(tmp_path))]) == 0
+    assert built == ["windec", "windec eval"]
+
+
+def test_unknown_command_lists_every_command(capsys):
+    assert main(["nope"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: argument command: invalid choice: 'nope'" in err
+    listed = err.split("(choose from", 1)[1]
+    assert all(name in listed for name in _FLAGS)
+
+
+def test_entry_point_help_lists_commands_and_flags():
+    env = {**os.environ, "PYTHONPATH": str(Path(windec.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-m", "windec", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    choices = re.search(r"\{([a-z,]+)\}", run("--help")).group(1)
+    assert sorted(choices.split(",")) == sorted(_FLAGS)
+    eval_help = run("eval", "--help")
+    assert all(flag in eval_help for flag in _FLAGS["eval"])
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -273,6 +273,26 @@ def test_solve_ridge_matches_svd_oracle(case):
         assert np.linalg.norm(pred - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, p, inv_calls, solve_calls", [(16, 2304, 1, 0), (400, 30, 0, 2)])
+def test_solve_ridge_factors_the_dual_system_once(monkeypatch, n, p, inv_calls, solve_calls):
+    # the dual branch applies one n x n inverse by GEMM; the primal branch keeps LU
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    x, y = random_regression(n, p)
+    _solve_ridge(x, y, 1e-8)
+    assert calls == {"inv": inv_calls, "solve": solve_calls}
+
+
 @pytest.mark.parametrize("n, p", [(16, 2304), (30, 30)])
 def test_solve_ridge_without_ridge_needs_more_samples_than_features(n, p):
     # centered data has rank <= n - 1, so lam = 0 is singular whenever n <= p

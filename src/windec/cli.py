@@ -142,6 +142,11 @@ def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpe
         raise ConfigError(f"split_fraction: {cfg.split_fraction} of {ds.n_steps} frame pairs "
                           f"leaves no training pair to fit predictor.kind {kind!r}")
     elif kind == "stencil":
+        # the fit holds one sample row of prod(W) * N_c values per budgeted window
+        features = w.cells * ds.grid.channels
+        if cfg.predictor.sample_budget * features > MAX_DATASET_VALUES:
+            raise ConfigError(f"predictor.sample_budget: {cfg.predictor.sample_budget} samples of "
+                              f"{features} values exceed {MAX_DATASET_VALUES} values")
         local = fit_stencil(ds, w, **fit)
     else:
         model = fit_global_linear(ds, **fit)

@@ -3,9 +3,12 @@
 A predictor's ``predict_windows`` maps windows ``(..., W_1..W_d, N_c)``, with
 any leading axes, to the predicted next values at their centers
 ``(..., N_c)``; it reads the read-only strided windows that
-``integrate_predictions`` hands it in place.  Exact stencil oracles
-(upwind transport, explicit diffusion) implement known update rules; the
-learned stencil is a ridge-regressed linear filter over the whole window.
+``integrate_predictions`` hands it in place.  The exact stencils (identity,
+upwind transport, explicit diffusion) are tables of center-relative
+``(offset, weight)`` taps built from known update rules, whose radius is
+the reach of their non-zero taps; one ``predict_windows`` applies them to
+any window that holds that reach.  The learned stencil is a
+ridge-regressed linear filter over the whole window.
 Where a tile's strides show a window view's overlap (a window's last-axis
 step equals the step between windows), it copies the tile's runs of padded
 cells under each block of ``BAND`` windows once, laid out so that the runs
@@ -29,6 +32,7 @@ import functools
 import itertools
 import logging
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
@@ -47,6 +51,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .generators import Dataset, GridPde, check_payload, read_exact
+from .sizing import courant
 from .tensor import BatchTensor
 from . import windowing
 from .windowing import WindowSpec, window_view
@@ -78,38 +83,53 @@ def _check_real(windows: np.ndarray) -> None:
         raise DomainError(f"windows must hold real numbers, not {windows.dtype}")
 
 
-def _check_windows(windows: np.ndarray, window: WindowSpec, channels: int | None = None) -> None:
-    """Windows must be real numbers ending in ``window``'s sizes and, if given,
-    ``channels``."""
-    want = (*window.sizes, windows.shape[-1] if channels is None else channels)
+def _check_windows(windows: np.ndarray, window: WindowSpec, channels: int) -> None:
+    """Windows must be real numbers ending in ``window``'s sizes and ``channels``."""
+    want = (*window.sizes, channels)
     if windows.shape[-len(want):] != want:
         raise ShapeMismatchError(f"windows {windows.shape} do not match {want}")
     _check_real(windows)
 
 
-@dataclass(frozen=True)
-class IdentityPredictor:
-    """Returns the window center unchanged; dependence radius zero."""
+class _TapStencil:
+    """Exact linear stencil held as center-relative ``(offset, weight)`` taps.
 
-    ndim: int
+    Zero weights are dropped, and ``radius`` is the largest |offset| of the
+    remaining taps on each axis.  :meth:`predict_windows` reads any windows
+    that hold that reach, over all channels at once.
+    """
 
-    @property
-    def radius(self) -> tuple[int, ...]:
-        return (0,) * self.ndim
+    def __init__(self, taps: Sequence[tuple[tuple[int, ...], float]]):
+        self._taps = [(offset, weight) for offset, weight in taps if weight != 0.0]
+        self.radius = tuple(max((abs(offset[i]) for offset, _ in self._taps), default=0)
+                            for i in range(len(taps[0][0])))
 
     def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        """``w_0 * cell_0 + sum_k w_k * cell_k`` over the taps, in tap order."""
         _check_real(windows)
-        sizes = windows.shape[-self.ndim - 1:-1]
-        return windows[(..., *((w - 1) // 2 for w in sizes), slice(None))]
+        center = [(w - 1) // 2 for w in windows.shape[-len(self.radius) - 1:-1]]
+        if len(center) < len(self.radius) or any(c < r for c, r in zip(center, self.radius)):
+            raise ShapeMismatchError(f"windows {windows.shape} do not hold radius {self.radius}")
+        terms = (weight * windows[(..., *map(operator.add, center, offset), slice(None))]
+                 for offset, weight in self._taps)
+        return functools.reduce(operator.iadd, terms)  # sums into the first term
 
 
-class UpwindStencil:
+class IdentityPredictor(_TapStencil):
+    """Returns the window center unchanged: one unit tap, radius zero."""
+
+    def __init__(self, ndim: int):
+        super().__init__([((0,) * ndim, 1.0)])
+
+
+class UpwindStencil(_TapStencil):
     """First-order upwind transport of the window center over one dt.
 
     The center value is taken from the characteristic foot, center - c*dt/dx
-    cells away, with linear interpolation between the two straddling cells.
-    At whole-cell Courant numbers this reduces to an exact shifted lookup;
-    for sub-cell Courant numbers it is the classic upwind update.
+    cells away, with linear interpolation between the two straddling cells:
+    per axis one or two taps, multiplied out over the axes in axis order.  A
+    foot within 1e-12 of a whole cell snaps to it, an exact shifted lookup.
+    The foot is placed from ``window``'s center, which must hold its reach.
     """
 
     def __init__(self, pde: GridPde, window: WindowSpec):
@@ -119,63 +139,40 @@ class UpwindStencil:
             raise ShapeMismatchError(
                 f"c has {len(pde.c)} components for a rank-{window.ndim} window"
             )
-        self.pde = pde
-        self.window = window
-        self.courant = tuple(ci * pde.dt / pde.dx for ci in pde.c)
-        self.radius = tuple(int(math.ceil(abs(c))) for c in self.courant)
-        for r, w in zip(self.radius, window.sizes):
-            if r > (w - 1) // 2:
-                raise WindowTooSmall(
-                    f"Courant reach {r} cells exceeds window radius {(w - 1) // 2}"
-                )
-        self._taps: list[list[tuple[int, float]]] = []
-        for c, w in zip(self.courant, window.sizes):
-            center = (w - 1) // 2
+        self.courant = tuple(courant(ci, pde.dt, pde.dx) for ci in pde.c)
+        axes = []
+        for c, center in zip(self.courant, window.radius):
             pos = center - c
+            if abs(pos - round(pos)) < 1e-12:
+                pos = round(pos)  # its upper tap then has weight 0 and is dropped
             low = math.floor(pos)
-            frac = pos - low
-            if frac < 1e-12:
-                self._taps.append([(low, 1.0)])
-            else:
-                self._taps.append([(low, 1.0 - frac), (low + 1, frac)])
-
-    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
-        _check_windows(windows, self.window)
-        acc = np.zeros((*windows.shape[:-self.window.ndim - 1], windows.shape[-1]))
-        combos = [((), 1.0)]
-        for taps in self._taps:
-            combos = [(idx + (i,), wgt * tw) for idx, wgt in combos for i, tw in taps]
-        for idx, wgt in combos:
-            acc += wgt * windows[(..., *idx, slice(None))]
-        return acc
+            axes.append([(low - center, 1.0 - (pos - low)), (low + 1 - center, pos - low)])
+        super().__init__([(offset, math.prod(weights)) for offset, weights in
+                          (zip(*combo) for combo in itertools.product(*axes))])
+        if any(r > wr for r, wr in zip(self.radius, window.radius)):
+            raise WindowTooSmall(
+                f"Courant reach {self.radius} cells exceeds window radius {window.radius}"
+            )
 
 
-class DiffusionStencil:
-    """One explicit central-difference diffusion update at the window center."""
+class DiffusionStencil(_TapStencil):
+    """One explicit central-difference diffusion update at the window center.
+
+    With diffusion number lam = alpha*dt/dx^2 the taps are 1 - 2*d*lam at
+    the center and lam at +-1 on each axis, so at alpha = 0 the radius is 0.
+    """
 
     def __init__(self, pde: GridPde, window: WindowSpec):
         d = window.ndim
-        self.lam = pde.alpha * pde.dt / pde.dx**2
-        if self.lam > 1.0 / (2 * d) + 1e-12:
+        lam = pde.alpha * pde.dt / pde.dx**2
+        if lam > 1.0 / (2 * d) + 1e-12:
             raise StabilityError(
-                f"diffusion number {self.lam:.4g} exceeds 1/(2d)={1.0 / (2 * d):.4g}"
+                f"diffusion number {lam:.4g} exceeds 1/(2d)={1.0 / (2 * d):.4g}"
             )
-        self.pde = pde
-        self.window = window
-        self.radius = (1,) * d
-
-    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
-        _check_windows(windows, self.window)
-        d = self.window.ndim
-        center = tuple((w - 1) // 2 for w in self.window.sizes)
-        mid = windows[(..., *center, slice(None))]
-        nbsum = np.zeros_like(mid)
-        for axis in range(d):
-            for step in (-1, 1):
-                idx = list(center)
-                idx[axis] += step
-                nbsum += windows[(..., *idx, slice(None))]
-        return mid + self.lam * (nbsum - 2 * d * mid)
+        super().__init__([((0,) * d, 1.0 - 2 * d * lam)] + [
+            (tuple(step if i == axis else 0 for i in range(d)), lam)
+            for axis in range(d) for step in (-1, 1)
+        ])
 
 
 # Outputs per banded GEMM along the last spatial axis.  integrate_predictions

@@ -131,6 +131,21 @@ def convolve_stencil_full(data, weights, bias, w_sizes):
     return out
 
 
+def dense_tap_table(taps, w_sizes, channels):
+    """A (prod(w)*C, C) learned-stencil weight table from center-relative taps.
+
+    Each ``(offset, weight)`` tap puts ``weight`` on channel ch of the cell at
+    center + offset for output channel ch, by flat index arithmetic.
+    """
+    center = [(w - 1) // 2 for w in w_sizes]
+    table = np.zeros((math.prod(w_sizes) * channels, channels))
+    for offset, weight in taps:
+        cell = flat_index(w_sizes, [c + o for c, o in zip(center, offset)])
+        for ch in range(channels):
+            table[cell * channels + ch, ch] += weight
+    return table
+
+
 def brute_offsets(w_sizes):
     """Cartesian product of per-dimension offsets by brute enumeration."""
     return list(product(*(range(w) for w in w_sizes)))

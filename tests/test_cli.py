@@ -498,6 +498,21 @@ def test_empty_input_path_is_config_error(tmp_path, capsys, monkeypatch, argv, f
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("c, dt, dx", [(0.1, 0.1, 0.01), (-0.1, 0.1, 0.01), (-0.1, 0.7, 0.07)])
+def test_eval_upwind_courant_a_rounding_step_from_one_runs_at_window_three(tmp_path, c, dt, dx):
+    # |c| dt / dx is 1 +- 2.2e-16: a one-cell shift, which a window of 3 holds
+    metrics = {}
+    for size in (3, 5):
+        cfg = write_config(tmp_path, {
+            "dataset": {"extents": [100], "dx": dx, "dt": dt, "c": [c],
+                        "ic": {"kind": "sine", "freq": 2.0}},
+            "window": [size], "out_dir": str(tmp_path / f"w{size}"),
+        })
+        assert main(["eval", "--config", str(cfg)]) == 0
+        metrics[size] = (tmp_path / f"w{size}" / "metrics_test.csv").read_bytes()
+    assert metrics[3] == metrics[5]
+
+
 # a fitted predictor needs at least one training pair: floor(n_pairs * split_fraction)
 @pytest.mark.parametrize("argv, kind, n_steps, split", [
     (["eval"], "global", 1, 0.5),
@@ -512,6 +527,16 @@ def test_split_without_training_pairs_is_config_error(tmp_path, capsys, argv, ki
                                   "split_fraction": split})
     assert main([*argv, "--config", str(cfg)]) == 1
     assert "config error: split_fraction: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["sweep", "--windows", "3,5", "--freqs", "1,2"]])
+@pytest.mark.parametrize("budget", [10**12, 10**20])
+def test_oversized_sample_budget_is_config_error(tmp_path, capsys, argv, budget):
+    cfg = write_config(tmp_path, {"predictor": {"kind": "stencil", "sample_budget": budget}})
+    assert main([*argv, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: predictor.sample_budget: " in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -34,11 +34,12 @@ from windec import (
     rel_l2,
     sample_training_pairs,
 )
-from windec import windowing
+from windec import models, windowing
 from windec.models import _solve_ridge
 from windec.windowing import window_view
 from oracles import (
     convolve_stencil_full,
+    dense_tap_table,
     diffusion_full,
     predict_centers,
     ridge_svd,
@@ -143,6 +144,84 @@ def test_predictions_ignore_cells_outside_declared_radius(build):
                 noisy[:, i, j, :] = rng.standard_normal((6, 1))
     out = predict_centers(pred, BatchTensor(noisy)).data
     assert np.array_equal(out, base)
+
+
+# --- tap tables ------------------------------------------------------------------
+
+
+def exact_stencils(sizes):
+    """Each exact predictor, built for window ``sizes``."""
+    d, w = len(sizes), WindowSpec(sizes)
+    return {
+        "identity": IdentityPredictor(d),
+        "upwind": UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.7, -1.4, 0.25)[:d]), w),
+        "upwind-whole": UpwindStencil(GridPde(dx=0.5, dt=1.0, c=(-0.5, 1.0, 0.0)[:d]), w),
+        "diffusion": DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.9 / (2 * d)), w),
+    }
+
+
+TAP_SIZES = [(5,), (5, 5), (5, 5, 3)]
+
+
+@pytest.mark.parametrize("sizes", TAP_SIZES)
+@pytest.mark.parametrize("channels", [1, 2])
+def test_exact_stencils_equal_their_dense_tap_table(sizes, channels):
+    rng = np.random.default_rng(30)
+    windows = rng.standard_normal((3, 4, *sizes, channels))
+    for name, pred in exact_stencils(sizes).items():
+        table = dense_tap_table(pred._taps, sizes, channels)
+        dense = LearnedStencil(WindowSpec(sizes), table, np.zeros(channels), 0.0)
+        got = pred.predict_windows(windows)
+        assert got.shape == (3, 4, channels), name
+        assert np.max(np.abs(got - dense.predict_windows(windows))) <= 1e-12, name
+        # the table's non-zero cells reach exactly the declared radius
+        cells = np.argwhere(table.reshape(*sizes, channels, channels).any(axis=(-2, -1)))
+        reach = np.abs(cells - np.array(WindowSpec(sizes).radius)).max(axis=0)
+        assert tuple(reach) == pred.radius, name
+
+
+@pytest.mark.parametrize("sizes", TAP_SIZES)
+def test_exact_stencils_read_any_window_that_holds_their_reach(sizes):
+    rng = np.random.default_rng(31)
+    wide = rng.standard_normal((6, *(s + 4 for s in sizes), 2))
+    inner = wide[(slice(None), *(slice(2, -2),) * len(sizes), slice(None))]
+    for name, pred in exact_stencils(sizes).items():
+        assert np.array_equal(pred.predict_windows(wide), pred.predict_windows(inner)), name
+        narrow = tuple(2 * r - 1 if r else 1 for r in pred.radius)
+        if narrow != (1,) * len(sizes):
+            with pytest.raises(ShapeMismatchError):
+                pred.predict_windows(np.zeros((2, *narrow, 1)))
+
+
+@pytest.mark.parametrize("pred, radius", [
+    (IdentityPredictor(3), (0, 0, 0)),
+    (DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.0), WindowSpec((3, 5))), (0, 0)),
+    (DiffusionStencil(GridPde(dx=1.0, dt=1.0, alpha=0.2), WindowSpec((5, 5))), (1, 1)),
+    (UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.0, 1.3)), WindowSpec((3, 5))), (0, 2)),
+    (UpwindStencil(GridPde(dx=0.5, dt=1.0, c=(1.0,)), WindowSpec((7,))), (2,)),
+])
+def test_radius_is_the_reach_of_the_nonzero_taps(pred, radius):
+    assert pred.radius == radius
+
+
+@pytest.mark.parametrize("c, dt, dx", [(0.1, 0.1, 0.01), (0.1, 0.7, 0.07)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("size", [3, 5])
+def test_upwind_courant_a_rounding_step_from_one_is_a_one_cell_shift(c, dt, dx, sign, size):
+    pred = UpwindStencil(GridPde(dx=dx, dt=dt, c=(sign * c,)), WindowSpec((size,)))
+    assert abs(pred.courant[0]) != 1.0  # 1 +- 2.2e-16
+    assert pred.radius == (1,) and len(pred._taps) == 1
+    windows = np.random.default_rng(32).standard_normal((4, size, 2))
+    center = (size - 1) // 2
+    assert np.array_equal(pred.predict_windows(windows), windows[:, center - sign, :])
+
+
+def test_only_the_tap_and_learned_stencils_define_predict_windows():
+    defining = {name for name, cls in vars(models).items()
+                if isinstance(cls, type) and cls.__module__ == models.__name__
+                and "predict_windows" in vars(cls)}
+    # Predictor is the protocol that declares the method
+    assert defining == {"Predictor", "_TapStencil", "LearnedStencil"}
 
 
 # --- learned stencil -------------------------------------------------------------

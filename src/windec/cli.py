@@ -142,7 +142,8 @@ def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpe
         raise ConfigError(f"split_fraction: {cfg.split_fraction} of {ds.n_steps} frame pairs "
                           f"leaves no training pair to fit predictor.kind {kind!r}")
     elif kind == "stencil":
-        # the fit holds one sample row of prod(W) * N_c values per budgeted window
+        # the fit gathers prod(W) * N_c values per budgeted window, and holds
+        # them all when the budget is below prod(W) * N_c
         features = w.cells * ds.grid.channels
         if cfg.predictor.sample_budget * features > MAX_DATASET_VALUES:
             raise ConfigError(f"predictor.sample_budget: {cfg.predictor.sample_budget} samples of "

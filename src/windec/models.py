@@ -34,8 +34,8 @@ import logging
 import math
 import operator
 import struct
-from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass, field
+from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -186,6 +186,23 @@ class DiffusionStencil(_TapStencil):
 BAND = 8
 
 
+def _stacked_bands(weights: np.ndarray, sizes: tuple[int, ...], nc: int) -> np.ndarray:
+    """The banded block-Toeplitz matrices of :meth:`LearnedStencil.predict_windows`.
+
+    ``band[k'][q * run + (j + m) * N_c + i, j * N_c + o] =
+    kernel[k', q][m * N_c + i, o]`` with ``run = (BAND + W_d - 1) * N_c``:
+    the ``W_{d-1}`` band matrices of outer offset k' stacked along K, one
+    ``(W_{d-1} * run, BAND * N_c)`` matrix per k' (a 1-D window has one,
+    for a unit leading axis).
+    """
+    lead, w_d = (sizes[:-1] if len(sizes) > 1 else (1,)), sizes[-1]
+    taps = weights.reshape(*lead, w_d, nc, nc)
+    band = np.zeros((*lead, BAND + w_d - 1, nc, BAND, nc))
+    for j in range(BAND):
+        band[..., j:j + w_d, :, j, :] = taps
+    return band.reshape(*lead[:-1], lead[-1] * (BAND + w_d - 1) * nc, BAND * nc)
+
+
 def _float_array(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value).astype(np.float64, casting="safe")
@@ -202,15 +219,18 @@ class LearnedStencil:
     (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,), both held as float64.
     On a window view's tile :meth:`predict_windows` takes one matmul per
     outer in-window offset (k_1..k_{d-2}) over a copy of the tile's runs of
-    padded cells, one run per block of ``BAND`` windows and grid row;
-    otherwise one matmul per leading in-window offset, each over one window
-    row (``W_d * N_c`` features) of every window, read in place.
+    padded cells, one run per block of ``BAND`` windows and grid row, with
+    banded matrices built once from the weights; otherwise one matmul per
+    leading in-window offset, each over one window row (``W_d * N_c``
+    features) of every window, read in place.
     """
 
     window: WindowSpec
     weights: np.ndarray
     bias: np.ndarray
     ridge_lambda: float
+    # the stacked band matrices of the banded path, built once from the weights
+    _band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _float_array(self.weights, "weights"))
@@ -225,6 +245,7 @@ class LearnedStencil:
             )
         if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
             raise DomainError("stencil weights must be finite")
+        object.__setattr__(self, "_band", _stacked_bands(self.weights, self.window.sizes, nc))
 
     @property
     def channels(self) -> int:
@@ -263,7 +284,6 @@ class LearnedStencil:
         kernel = self.weights.reshape(*sizes[:-1], w_d * nc, nc)
         offsets = list(itertools.product(*(range(s) for s in sizes[:-1])))
         out = np.empty((*windows.shape[:-d - 1], nc))
-        out[...] = self.bias
         shape, strides, item = windows.shape, windows.strides, windows.itemsize
         # the tile's extents along grid axes 1..d-1, 1 where a tile cut inside
         # a row has dropped the axis
@@ -279,14 +299,6 @@ class LearnedStencil:
             lead, grid, lsteps = ((sizes[:-1], grid, strides[-d - 1:-2]) if d > 1
                                   else ((1,), [1], (0,)))
             run = (BAND + w_d - 1) * nc
-            # band[k'][q * run + (j + m) * N_c + i, j * N_c + o] =
-            # kernel[k', q][m * N_c + i, o]: the W_{d-1} band matrices of outer
-            # offset k' stacked along K
-            taps = self.weights.reshape(*lead, w_d, nc, nc)
-            band = np.zeros((*lead, BAND + w_d - 1, nc, BAND, nc))
-            for j in range(BAND):
-                band[..., j:j + w_d, :, j, :] = taps
-            band = band.reshape(*lead[:-1], lead[-1] * run, BAND * nc)
             # runs[..., p_1..p_{d-2}, i, p_{d-1}, :] is the padded run under row p
             # of windows i * BAND .. (i + 1) * BAND - 1, copied once; the
             # W_{d-1} runs under one output row of one block are then one
@@ -300,17 +312,26 @@ class LearnedStencil:
                 writeable=False,
             ).copy()
             head, step = out[..., :done, :], runs.strides
-            for k in itertools.product(*(range(s) for s in lead[:-1])):
+            for i, k in enumerate(itertools.product(*(range(s) for s in lead[:-1]))):
                 # rows n and blocks i of one outer offset: row step run, block
                 # step (N_{d-1} + W_{d-1} - 1) * run >= K, so each (blocks, K)
                 # matrix is a BLAS operand
                 operand = as_strided(
                     runs[(..., *k, 0, 0, 0)], (*batch, *grid, blocks, lead[-1] * run),
                     (*step[:-3], step[-2], step[-3], item), writeable=False)
-                head += np.matmul(operand, band[k]).reshape(head.shape)
+                if i:
+                    head += np.matmul(operand, self._band[k]).reshape(head.shape)
+                else:
+                    # the first product lands in the output (a view: unit axes
+                    # added, N_c merged into blocks of BAND); (p_0 + b) + p_1
+                    # is (b + p_0) + p_1 bit for bit
+                    np.matmul(operand, self._band[k], out=head.reshape(
+                        *batch, *grid, blocks, BAND * nc))
+                    head += self.bias
             rest = windows[(..., slice(done, None)) + (slice(None),) * (d + 1)]
             out_rest = out[..., done:, :]
         if out_rest.size:
+            out_rest[...] = self.bias
             # merging W_d and N_c is a view when the windows come from a C-ordered grid
             rows = rest.reshape(*rest.shape[:-2], -1)
             for k in offsets:
@@ -346,6 +367,49 @@ class GlobalLinearModel:
         return BatchTensor(out.reshape(frame.dims))
 
 
+def _check_ridge(n: int, p: int, lam: float) -> None:
+    """Refuse a negative ridge, and no ridge with n <= p samples for p features.
+
+    Centering leaves rank at most n - 1, so lam == 0 with n <= p is always
+    singular.
+    """
+    if lam < 0:
+        raise DomainError("ridge_lambda must be non-negative")
+    if lam == 0 and n <= p:
+        raise SingularSystem(
+            f"{n} samples for {p} features leave the normal equations singular "
+            "without ridge; increase ridge_lambda"
+        )
+
+
+def _check_residual(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
+    b_norm = float(np.linalg.norm(b))
+    resid = float(np.linalg.norm(a @ w - b))
+    if b_norm > 0 and resid / b_norm > 1e-8:
+        raise SingularSystem(
+            f"normal-equation residual {resid / b_norm:.3g} > 1e-8; "
+            "increase ridge_lambda"
+        )
+
+
+def _solve_primal(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
+    """Weights w of (X^T X + lam I) w = X^T y from the centered ``gram`` and
+    ``cross`` products, by LU solve and one refinement pass.
+
+    Adds lam to ``gram``'s diagonal in place, so no second p x p matrix
+    exists beside the LU factors.  Raises SingularSystem when the solve fails
+    or leaves a relative residual above 1e-8.
+    """
+    gram.reshape(-1)[::gram.shape[0] + 1] += lam  # the diagonal, in place
+    try:
+        w = np.linalg.solve(gram, cross)
+        w += np.linalg.solve(gram, cross - gram @ w)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("normal equations are singular; increase ridge_lambda") from exc
+    _check_residual(gram, w, cross)
+    return w
+
+
 def _solve_ridge(
     x: np.ndarray, y: np.ndarray, lam: float
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
@@ -355,8 +419,8 @@ def _solve_ridge(
     the prediction of ``x`` is ``(x - xm) @ weights + ym``, which leaves the
     bias unpenalized.  With n samples and p features the solve runs in the
     smaller space: the p x p system (X^T X + lam I) w = X^T y when n >= p,
-    with factors ``(w,)``; otherwise the n x n system (X X^T + lam I) a = y,
-    with factors ``(X^T, a)`` by the identity
+    with factors ``(w,)`` (:func:`_solve_primal`); otherwise the n x n
+    system (X X^T + lam I) a = y, with factors ``(X^T, a)`` by the identity
     (X^T X + lam I)^-1 X^T = X^T (X X^T + lam I)^-1.  The dual factors are
     both n x p, so the p x p weights are never formed.
 
@@ -369,53 +433,30 @@ def _solve_ridge(
     the inverse loses (p = 289, one channel: 3.5-3.8 ms against 1.8-2.2 ms),
     so it keeps ``np.linalg.solve``.
 
-    Raises SingularSystem when lam == 0 and the system is rank deficient.
-    Centering leaves rank at most n - 1, so that always holds for lam == 0
-    when n <= p.
+    Raises DomainError for lam < 0, and SingularSystem when lam == 0 and the
+    system is rank deficient, which always holds for lam == 0 when n <= p.
 
     Takes ownership of ``x`` and ``y``: they are centered in place, so no
     second n x p array exists, and the dual factor ``X^T`` is a view of the
     centered ``x``.  Pass arrays that nothing else reads.
     """
-    if lam < 0:
-        raise DomainError("ridge_lambda must be non-negative")
     n, p = x.shape
-    if lam == 0 and n <= p:
-        raise SingularSystem(
-            f"{n} samples for {p} features leave the normal equations singular "
-            "without ridge; increase ridge_lambda"
-        )
+    _check_ridge(n, p, lam)
     xm = x.mean(axis=0)
     ym = y.mean(axis=0)
     x -= xm
     y -= ym
-    dual = n < p
-    if dual:
-        a = x @ x.T + lam * np.eye(n)
-        b = y
-    else:
-        a = x.T @ x + lam * np.eye(p)
-        b = x.T @ y
+    if n >= p:
+        return (_solve_primal(x.T @ x, x.T @ y, lam),), xm, ym
+    a = x @ x.T + lam * np.eye(n)
     try:
-        if dual:
-            a_inv = np.linalg.inv(a)
-            w = a_inv @ b
-            w = w + a_inv @ (b - a @ w)
-        else:
-            w = np.linalg.solve(a, b)
-            w = w + np.linalg.solve(a, b - a @ w)
+        a_inv = np.linalg.inv(a)
+        w = a_inv @ y
+        w = w + a_inv @ (y - a @ w)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            "normal equations are singular; increase ridge_lambda"
-        ) from exc
-    b_norm = float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(a @ w - b))
-    if b_norm > 0 and resid / b_norm > 1e-8:
-        raise SingularSystem(
-            f"normal-equation residual {resid / b_norm:.3g} > 1e-8; "
-            "increase ridge_lambda"
-        )
-    return ((x.T, w) if dual else (w,)), xm, ym
+        raise SingularSystem("normal equations are singular; increase ridge_lambda") from exc
+    _check_residual(a, w, y)
+    return (x.T, w), xm, ym
 
 
 def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarray:
@@ -434,6 +475,61 @@ def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarr
     return pairs
 
 
+def _sample_blocks(
+    ds: Dataset,
+    w: WindowSpec,
+    sample_budget: int,
+    seed: int,
+    pair_indices: Sequence[int] | None,
+    min_rows: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Check the request and draw the samples of :func:`sample_training_pairs`.
+
+    The returned iterator gathers them, frame pair by frame pair in
+    increasing order, as ``(rows, x, y)`` blocks: the sample indices
+    ``rows`` of one frame pair, their windows ``x`` as fresh
+    ``rows.size x prod(W_i)*N_c`` rows, and their next center values ``y``.
+    A block holds at most ``TILE_BYTES`` of windows, or ``min_rows`` windows
+    where those take more.
+    """
+    pairs = _training_pairs(ds, pair_indices)
+    if w.ndim != ds.grid.ndim:
+        raise ShapeMismatchError(
+            f"window rank {w.ndim} does not match grid rank {ds.grid.ndim}"
+        )
+    if sample_budget < 1:
+        raise DomainError("sample_budget must be >= 1")
+    radius = np.asarray(w.radius)
+    highs = tuple(n - r for n, r in zip(ds.grid.spatial, w.radius))
+    if any(hi <= lo for lo, hi in zip(w.radius, highs)):
+        raise WindowTooLarge(
+            f"window {w.sizes} leaves no interior cells on grid {ds.grid.spatial}"
+        )
+    rng = np.random.default_rng(seed)
+    ts = rng.choice(pairs, size=sample_budget)
+    bs = rng.integers(0, ds.grid.batch, size=sample_budget)
+    cells = np.stack(
+        [rng.integers(lo, hi, size=sample_budget) for lo, hi in zip(w.radius, highs)],
+        axis=1,
+    )
+    n_features = w.cells * ds.grid.channels
+    step = max(min_rows, windowing.TILE_BYTES // (n_features * 8))
+
+    def blocks():
+        for t in np.unique(ts):
+            take = np.flatnonzero(ts == t)
+            windows = window_view(ds.frames[t].data, w.sizes)
+            after = ds.frames[t + 1].data
+            for i in range(0, take.size, step):
+                rows = take[i:i + step]
+                # the window of center c starts at c - r; no block is kept
+                # here while the next one is gathered
+                yield (rows,
+                       windows[(bs[rows], *(cells[rows] - radius).T)].reshape(-1, n_features),
+                       after[(bs[rows], *cells[rows].T)])
+    return blocks()
+
+
 def sample_training_pairs(
     ds: Dataset,
     w: WindowSpec,
@@ -449,40 +545,53 @@ def sample_training_pairs(
     the returned ``x``, at most ``TILE_BYTES`` of them per gather, so no
     second copy of the samples exists on the way.
     """
-    pairs = _training_pairs(ds, pair_indices)
-    if w.ndim != ds.grid.ndim:
-        raise ShapeMismatchError(
-            f"window rank {w.ndim} does not match grid rank {ds.grid.ndim}"
-        )
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
-    radius = w.radius
-    lows = radius
-    highs = tuple(n - r for n, r in zip(ds.grid.spatial, radius))
-    if any(hi <= lo for lo, hi in zip(lows, highs)):
-        raise WindowTooLarge(
-            f"window {w.sizes} leaves no interior cells on grid {ds.grid.spatial}"
-        )
-    rng = np.random.default_rng(seed)
-    ts = rng.choice(pairs, size=sample_budget)
-    bs = rng.integers(0, ds.grid.batch, size=sample_budget)
-    cells = np.stack(
-        [rng.integers(lo, hi, size=sample_budget) for lo, hi in zip(lows, highs)],
-        axis=1,
-    )
-    n_features = w.cells * ds.grid.channels
-    x = np.empty((sample_budget, n_features))
+    blocks = _sample_blocks(ds, w, sample_budget, seed, pair_indices)
+    x = np.empty((sample_budget, w.cells * ds.grid.channels))
     y = np.empty((sample_budget, ds.grid.channels))
-    starts = cells - np.asarray(radius)  # the window of center c starts at c - r
-    step = max(1, windowing.TILE_BYTES // (n_features * x.itemsize))
-    for t in np.unique(ts):
-        take = np.flatnonzero(ts == t)
-        windows = window_view(ds.frames[t].data, w.sizes)
-        for i in range(0, take.size, step):
-            rows = take[i:i + step]
-            x[rows] = windows[(bs[rows], *starts[rows].T)].reshape(-1, n_features)
-        y[take] = ds.frames[t + 1].data[(bs[take], *cells[take].T)]
+    for rows, xb, yb in blocks:
+        x[rows] = xb
+        y[rows] = yb
     return x, y
+
+
+def _centered_products(
+    blocks: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]], p: int, nc: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Centered X^T X and X^T Y of streamed sample blocks, and the means of
+    X and Y, holding one block of samples at a time.
+
+    Each block is centered by its own mean m_j, in place, and its Gram and
+    cross products are summed.  The blocks' means are then combined as in
+    the pairwise update of Chan, Golub and LeVeque (1979): the Gram gains
+    sum_j n_j (m_j - m)(m_j - m)^T about the overall mean m, and the cross
+    product likewise.  No raw moment such as X^T X - n m m^T is formed, so
+    nothing cancels against a large mean.
+    """
+    gram, block_gram = np.zeros((p, p)), np.empty((p, p))
+    cross = np.zeros((p, nc))
+    counts, x_means, y_means = [], [], []
+    for _, x, y in blocks:
+        xm, ym = x.mean(axis=0), y.mean(axis=0)
+        x -= xm
+        y -= ym
+        gram += np.matmul(x.T, x, out=block_gram)
+        cross += x.T @ y
+        counts.append(x.shape[0])
+        x_means.append(xm)
+        y_means.append(ym)
+        del x, y  # before the next block is gathered
+    del block_gram  # the scatter's product takes its place
+    counts = np.asarray(counts, dtype=np.float64)[:, None]
+    n = counts.sum()
+    x_means, y_means = np.array(x_means), np.array(y_means)
+    xm = (counts * x_means).sum(axis=0) / n
+    ym = (counts * y_means).sum(axis=0) / n
+    x_means -= xm
+    y_means -= ym
+    weighted = counts * x_means
+    gram += weighted.T @ x_means
+    cross += weighted.T @ y_means
+    return gram, cross, xm, ym
 
 
 def fit_stencil(
@@ -493,10 +602,40 @@ def fit_stencil(
     seed: int = 0,
     pair_indices: Sequence[int] | None = None,
 ) -> LearnedStencil:
-    """Ridge-regress a linear window filter onto next-step center values."""
-    x, y = sample_training_pairs(ds, w, sample_budget, seed, pair_indices)
-    factors, xm, ym = _solve_ridge(x, y, ridge_lambda)
-    weights = functools.reduce(np.matmul, factors)
+    """Ridge-regress a linear window filter onto next-step center values.
+
+    The samples are those :func:`sample_training_pairs` draws.  With at
+    least as many samples as features p = prod(W_i) * N_c the fit streams
+    them: it gathers at most ``TILE_BYTES`` of windows, or p windows where
+    those take more, at a time into the centered p x p normal equations
+    (:func:`_centered_products`), so its memory is two p x p arrays and one
+    block, whatever the budget.  With fewer samples than features it holds
+    the samples and solves in sample space (:func:`_solve_ridge`).
+
+    The weights and outputs are reproducible bit for bit only under one BLAS
+    configuration: the summation order of a GEMM depends on the BLAS thread
+    count, and the sample covariance is ill-conditioned (a condition number
+    of order 1e19 for 17 x 17 windows on smooth advection data).  On a
+    2-core Xeon (OpenBLAS 0.3.31) a 17 x 17 fit of 4096 samples on 4 x 256^2
+    advection frames moves by up to 8.6e-5 in its weights (|w| <= 0.043)
+    and 1.5e-5 per predicted cell between 2 BLAS threads and
+    ``OPENBLAS_NUM_THREADS=1``.
+    """
+    p = w.cells * ds.grid.channels
+    if sample_budget < p:
+        x, y = sample_training_pairs(ds, w, sample_budget, seed, pair_indices)
+        factors, xm, ym = _solve_ridge(x, y, ridge_lambda)
+        weights = functools.reduce(np.matmul, factors)
+    else:
+        # blocks of at least p samples keep each Gram product's inner size
+        # at p or more, where BLAS runs near full speed: at 9^3 (p = 729) on
+        # a 2-core Xeon, blocks of 179 and 729 samples took the 4096-sample
+        # fit 122 and 82 ms (82 ms holding all samples) for a traced peak of
+        # 9.5 and 12.4 MiB
+        blocks = _sample_blocks(ds, w, sample_budget, seed, pair_indices, min_rows=p)
+        _check_ridge(sample_budget, p, ridge_lambda)
+        gram, cross, xm, ym = _centered_products(blocks, p, ds.grid.channels)
+        weights = _solve_primal(gram, cross, ridge_lambda)
     return LearnedStencil(w, weights, ym - xm @ weights, ridge_lambda)
 
 

@@ -43,12 +43,14 @@ from .tensor import BatchTensor, pad_zeros
 # Most bytes of window rows (W_d * N_c values per cell) one tile covers; a
 # predictor that copies its tile copies up to prod(W_1..W_{d-1}) times this.
 # On a 2-core Xeon with 2 MB of L2 per core, the learned stencil (one matmul
-# per 2-D tile, W_1 per 3-D tile, see models.BAND) took 20/16/16/14/14.5 ms
-# on a 4x256^2 frame at 17x17 and 41/31/26/24/25 ms on 2x48^3 at 9^3 with
-# caps of 0.25/0.5/1/2/4 MB (medians of 7 rounds of 10 calls; rounds spread
-# by up to +-20%): below 1 MB its fixed cost per call is paid on too many
-# tiles.  2 MB is within that spread of 1 MB but doubles what every
-# predictor holds per tile (about 0.5 MB for that stencil at 1 MB).
+# per 2-D tile, W_1 per 3-D tile, its band matrices built once, see
+# models.BAND) took 17.9/15.5/15.6/15.4 ms on a 4x256^2 frame at 17x17,
+# 26.3/29.4/29.8/31.4 ms on 2x48^3 at 9^3 and 9.0/8.3/8.1/8.1 ms on
+# 2x32^3x2 at 5^3 with caps of 0.5/1/2/4 MB (medians of 9 interleaved rounds
+# of 10 calls; rounds spread by up to +-30%).  At 0.5 MB the 2-D frame is
+# slower and the 3-D one faster; above 1 MB nothing is gained beyond the
+# spread, while what a predictor holds per tile grows: the
+# learned stencil at 17x17 holds 404 KiB a tile at 1 MB and 703 KiB at 2 MB.
 TILE_BYTES = 1 << 20
 
 

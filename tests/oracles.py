@@ -3,8 +3,9 @@
 Everything here recomputes expected results through a different code path
 than the module under test: direct index arithmetic, scipy's interpolation
 and correlation routines, explicit padded-array slicing, per-block
-split/stack decomposition, one-sample-at-a-time loops, or an SVD in place
-of the normal equations.  The copy-based ``split``, ``stack`` and
+split/stack decomposition, one-sample-at-a-time loops, an SVD in place
+of the normal equations, or normal equations summed over explicitly listed
+blocks of samples.  The copy-based ``split``, ``stack`` and
 ``slice_region`` primitives that the per-offset sweep is built from live
 here too, as does the unit ``impulse``; the library's prediction path does
 not use them.
@@ -295,4 +296,54 @@ def ridge_svd(x, y, lam):
     ym = y.mean(axis=0)
     u, s, vt = np.linalg.svd(x - xm, full_matrices=False)
     w = vt.T @ ((s / (s**2 + lam))[:, None] * (u.T @ (y - ym)))
+    return w, ym - xm @ w
+
+
+def sample_blocks_loop(ds, sample_budget, seed, step, pair_indices=None):
+    """The sample indices of each block the streamed fit gathers, by a loop:
+    the samples of each drawn frame pair in increasing order, ``step`` at a
+    time.  Draws the frame pairs as ``sample_pairs_loop`` does."""
+    pairs = np.arange(ds.n_steps) if pair_indices is None else np.asarray(pair_indices)
+    ts = np.random.default_rng(seed).choice(pairs, size=sample_budget)
+    blocks = []
+    for t in sorted(set(ts.tolist())):
+        take = [s for s in range(sample_budget) if ts[s] == t]
+        blocks += [take[i:i + step] for i in range(0, len(take), step)]
+    return blocks
+
+
+def ridge_by_blocks(x, y, blocks, lam):
+    """Centered ridge weights and bias from normal equations summed block by block.
+
+    Each block of rows is centered by its own mean and adds its Gram and
+    cross products; the overall mean m is the count-weighted mean of the
+    block means, which add their scatter sum_j n_j (m_j - m)(m_j - m)^T.
+    Then (G + lam I) w = c is solved by LU with one refinement step, and the
+    bias is ym - xm @ w.
+    """
+    p, nc = x.shape[1], y.shape[1]
+    gram, cross = np.zeros((p, p)), np.zeros((p, nc))
+    counts, x_means, y_means = [], [], []
+    for rows in blocks:
+        xb, yb = x[rows], y[rows]
+        xm, ym = xb.mean(axis=0), yb.mean(axis=0)
+        xc, yc = xb - xm, yb - ym
+        gram += xc.T @ xc
+        cross += xc.T @ yc
+        counts.append(float(len(rows)))
+        x_means.append(xm)
+        y_means.append(ym)
+    n = sum(counts)
+    xm, ym = np.zeros(p), np.zeros(nc)
+    for count, bxm, bym in zip(counts, x_means, y_means):
+        xm = xm + count * bxm
+        ym = ym + count * bym
+    xm, ym = xm / n, ym / n
+    dx, dy = np.array(x_means) - xm, np.array(y_means) - ym
+    weighted = np.array(counts)[:, None] * dx
+    gram += weighted.T @ dx
+    cross += weighted.T @ dy
+    a = gram + lam * np.eye(p)
+    w = np.linalg.solve(a, cross)
+    w = w + np.linalg.solve(a, cross - a @ w)
     return w, ym - xm @ w

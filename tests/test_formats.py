@@ -64,6 +64,37 @@ def test_read_dataset_holds_each_frame_once(tmp_path):
     assert peak - payload < 0.5 * frames[0].data.nbytes
 
 
+def test_write_dataset_writes_frames_without_a_copy(tmp_path):
+    # the payload is each frame's float64 values, little-endian as declared,
+    # which is what tobytes() gives on a little-endian host; a copy of a
+    # frame on the way would take a whole frame
+    rng = np.random.default_rng(5)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 64, 64, 1))) for _ in range(3))
+    path = tmp_path / "ds.ddld"
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_dataset(path, ds)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < frames[0].data.nbytes
+    payload = path.read_bytes()[-3 * frames[0].data.nbytes:]
+    assert payload == b"".join(f.data.astype("<f8").tobytes() for f in frames)
+    if np.little_endian:
+        assert payload == b"".join(f.data.tobytes() for f in frames)
+
+
+def test_read_dataset_reads_the_payload_into_one_array(tmp_path):
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, small_dataset())
+    frames = read_dataset(path).frames
+    base = frames[0].data.base
+    assert base is not None and base.nbytes == sum(f.data.nbytes for f in frames)
+    assert all(f.data.base is base for f in frames)
+
+
 def test_dataset_rewrite_is_byte_identical(tmp_path):
     ds = small_dataset()
     a, b = tmp_path / "a.ddld", tmp_path / "b.ddld"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -42,7 +43,9 @@ from oracles import (
     dense_tap_table,
     diffusion_full,
     predict_centers,
+    ridge_by_blocks,
     ridge_svd,
+    sample_blocks_loop,
     sample_pairs_loop,
     upwind_full,
 )
@@ -297,21 +300,33 @@ def test_fit_satisfies_normal_equations():
     assert np.linalg.norm(a @ st.weights - b) / np.linalg.norm(b) <= 1e-8
 
 
-def test_fit_stencil_weights_equal_primal_normal_equation_solve():
-    # n >= p solves the p x p normal equations exactly as written here, bit for bit
+def assert_fit_equals_block_oracle(step):
     ds = advection_dataset(seed=13)
     w = WindowSpec((5, 5))
     lam = 1e-8
     st = fit_stencil(ds, w, ridge_lambda=lam, sample_budget=2048, seed=2)
-    x, y = sample_training_pairs(ds, w, 2048, seed=2)
-    xm, ym = x.mean(axis=0), y.mean(axis=0)
-    xc, yc = x - xm, y - ym
-    a = xc.T @ xc + lam * np.eye(x.shape[1])
-    b = xc.T @ yc
-    want = np.linalg.solve(a, b)
-    want = want + np.linalg.solve(a, b - a @ want)
+    x, y = sample_pairs_loop(ds, w, 2048, seed=2)
+    blocks = sample_blocks_loop(ds, 2048, seed=2, step=step)
+    want, want_bias = ridge_by_blocks(x, y, blocks, lam)
     assert np.array_equal(st.weights, want)
-    assert np.array_equal(st.bias, ym - xm @ want)
+    assert np.array_equal(st.bias, want_bias)
+    return blocks, ds
+
+
+def test_fit_stencil_weights_equal_primal_normal_equation_solve():
+    # n >= p sums the p x p normal equations over the blocks of samples the
+    # fit gathers, exactly as written out in ridge_by_blocks, bit for bit;
+    # here each frame pair's samples fit in one tile
+    blocks, ds = assert_fit_equals_block_oracle(step=2048)
+    assert len(blocks) == ds.n_steps
+
+
+# 97 samples of windows a tile; 10 a tile, so p = 25 samples a block
+@pytest.mark.parametrize("tile_bytes, step", [(97 * 25 * 8 + 5, 97), (10 * 25 * 8, 25)])
+def test_fit_stencil_sums_the_blocks_it_gathers(monkeypatch, tile_bytes, step):
+    monkeypatch.setattr(windowing, "TILE_BYTES", tile_bytes)
+    blocks, ds = assert_fit_equals_block_oracle(step)
+    assert len(blocks) > ds.n_steps
 
 
 def frame_pairs(ds, pairs):
@@ -390,6 +405,29 @@ def test_learned_stencil_integration_matches_full_convolution():
     out = integrate_predictions(t, w, st)
     expected = convolve_stencil_full(t.data, weights, bias, (3, 5))
     assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+
+def test_learned_stencil_builds_its_band_once(monkeypatch):
+    calls = []
+    real = models._stacked_bands
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(models, "_stacked_bands", spy)
+    rng = np.random.default_rng(26)
+    w = WindowSpec((5, 5))
+    st = LearnedStencil(w, rng.standard_normal((25, 1)), rng.standard_normal(1), 0.0)
+    assert len(calls) == 1
+    t = BatchTensor(rng.standard_normal((2, 64, 64, 1)))
+    monkeypatch.setattr(windowing, "TILE_BYTES", 16 * 5 * 8)  # many tiles
+    for _ in range(2):
+        integrate_predictions(t, w, st)
+    assert len(calls) == 1
+    # the band is derived state: left out of repr and equality
+    assert "_band" not in repr(st)
+    assert "_band" not in [f.name for f in dataclasses.fields(st) if f.compare]
 
 
 @pytest.mark.parametrize("bias", [np.float64(0.5), np.zeros((1, 1))], ids=["0-d", "1x1"])
@@ -483,6 +521,66 @@ def test_fit_stencil_holds_one_copy_of_the_samples(dims, sizes):
         tracemalloc.stop()
     p = w.cells
     assert peak < 4096 * p * 8 + 3 * p * p * 8 + windowing.TILE_BYTES
+
+
+@pytest.mark.parametrize("dims, sizes", [
+    ((1, 64, 64, 1), (17, 17)),
+    ((2, 32, 32, 32, 1), (9, 9, 9)),
+])
+def test_fit_stencil_memory_does_not_scale_with_sample_budget(dims, sizes):
+    # the fit streams its samples into the p x p normal equations: the Gram,
+    # one block's product or the LU copy of the Gram, and one block of at
+    # most max(TILE_BYTES, p samples); only the n-long index draws grow
+    rng = np.random.default_rng(24)
+    frames = tuple(BatchTensor(rng.standard_normal(dims)) for _ in range(3))
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    w = WindowSpec(sizes)
+    p = w.cells
+    peaks = {}
+    for budget in (4096, 16384):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_stencil(ds, w, sample_budget=budget)
+            peaks[budget] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    bound = 4 * p * p * 8 + 2 * windowing.TILE_BYTES
+    assert peaks[4096] < bound and peaks[16384] < bound
+    # the 12288 extra samples' rows alone would take 12288 * p * 8 bytes
+    assert peaks[16384] - peaks[4096] < 12288 * p * 8 / 20
+
+
+@pytest.mark.parametrize("lam", [1e-8, 0.1])
+def test_fit_stencil_below_p_samples_equals_sample_space_solve(lam):
+    # 100 samples for 3 * 7 * 5 * 2 = 210 features: the fit holds its samples
+    # and solves the dual system, as _solve_ridge does on the same samples
+    rng = np.random.default_rng(25)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 10, 12, 9, 2))) for _ in range(3))
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    w = WindowSpec((3, 7, 5))
+    st = fit_stencil(ds, w, ridge_lambda=lam, sample_budget=100, seed=4)
+    factors, xm, ym = _solve_ridge(*sample_training_pairs(ds, w, 100, seed=4), lam)
+    want = functools.reduce(np.matmul, factors)
+    assert len(factors) == 2
+    assert np.array_equal(st.weights, want)
+    assert np.array_equal(st.bias, ym - xm @ want)
+
+
+@pytest.mark.parametrize("budget", [64, 256], ids=["dual", "primal"])
+def test_fit_stencil_rejects_negative_ridge(budget):
+    ds = advection_dataset(extents=(12, 12))
+    w = WindowSpec((11, 11))  # 121 features
+    with pytest.raises(DomainError):
+        fit_stencil(ds, w, ridge_lambda=-1e-8, sample_budget=budget)
+
+
+def test_fit_stencil_without_ridge_needs_more_samples_than_features():
+    # exactly p samples take the streamed fit, which refuses lam = 0 before
+    # it gathers a window, as _solve_ridge does
+    ds = advection_dataset(extents=(12, 12))
+    with pytest.raises(SingularSystem):
+        fit_stencil(ds, WindowSpec((3, 3)), ridge_lambda=0.0, sample_budget=9)
 
 
 @pytest.mark.parametrize("case", ["dual-c09", "primal"])

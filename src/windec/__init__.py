@@ -1,8 +1,9 @@
 """Window decomposition for local next-step prediction on grid PDE data.
 
-Prediction zero-pads the grid once and predicts each cell from exactly its
-local neighborhood: every window-to-center predictor reads its windows in
-place, tile by tile, from one strided view of the padded grid.
+Prediction predicts each cell from exactly its local neighborhood, the grid
+zero-extended by the window radius: tile by tile, the tile's cells plus that
+halo are filled into a slab buffer, and every window-to-center predictor
+reads its windows in place from one strided view of the slab.
 ``expand_domain``, ``chunk_domain``, ``window_patch`` and ``window_offsets``
 define the window decomposition this computes; the acceptance gate checks
 them.  Companion modules supply PDE data generators, window-size selection

@@ -164,6 +164,7 @@ def _evaluate_pairs(ds: Dataset, pairs: list[int], predict: Callable[[BatchTenso
         pred = predict(ds.frames[t])
         t1 = time.perf_counter()
         rows.append((t, metrics_record(pred, ds.frames[t + 1])))
+        del pred  # not alive while the next frame is predicted
         timings["predict"] = timings.get("predict", 0.0) + (t1 - t0)
         timings["metrics"] = timings.get("metrics", 0.0) + (time.perf_counter() - t1)
     return rows
@@ -184,9 +185,9 @@ def _nonempty(text: str) -> str:
 
 
 def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
-    # prediction pads each side by the window radius, so any size would run,
-    # but a window more than twice the grid extent is almost certainly a
-    # config slip
+    # prediction zero-extends each tile by the window radius, so any size
+    # would run, but a window more than twice the grid extent is almost
+    # certainly a config slip
     for wi, n in zip(w.sizes, grid.spatial):
         if wi > 2 * n + 1:
             raise WindowTooLarge(f"window {wi} exceeds twice the grid extent {n}")

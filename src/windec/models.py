@@ -3,14 +3,15 @@
 A predictor's ``predict_windows`` maps windows ``(..., W_1..W_d, N_c)``, with
 any leading axes, to the predicted next values at their centers
 ``(..., N_c)``; it reads the read-only strided windows that
-``integrate_predictions`` hands it in place.  The exact stencils (identity,
-upwind transport, explicit diffusion) are tables of center-relative
+``integrate_predictions`` hands it in place, views of a slab buffer that
+holds one tile's cells plus the window-radius halo.  The exact stencils
+(identity, upwind transport, explicit diffusion) are tables of center-relative
 ``(offset, weight)`` taps built from known update rules, whose radius is
 the reach of their non-zero taps; one ``predict_windows`` applies them to
 any window that holds that reach.  The learned stencil is a
 ridge-regressed linear filter over the whole window.
 Where a tile's strides show a window view's overlap (a window's last-axis
-step equals the step between windows), it copies the tile's runs of padded
+step equals the step between windows), it copies the tile's runs of slab
 cells under each block of ``BAND`` windows once, laid out so that the runs
 under one output row of one block are one stretch of memory; then one matmul
 per outer in-window offset (one per 2-D tile, ``W_1`` per 3-D tile) applies
@@ -69,8 +70,12 @@ class Predictor(Protocol):
     ``predict_windows`` works like a gufunc with core dimensions
     ``(W_1..W_d, N_c) -> (N_c)``: it maps a read-only ``(..., W_1..W_d, N_c)``
     array of windows to ``(..., N_c)`` centers.  ``integrate_predictions``
-    passes strided views of the padded grid, so a predictor that copies its
-    windows copies up to prod(W_1..W_{d-1}) * ``TILE_BYTES`` per call.
+    passes strided views of a slab buffer, the tile's cells zero-extended by
+    the window radius, so a predictor that copies its windows copies up to
+    prod(W_1..W_{d-1}) * ``TILE_BYTES`` per call.  The slab is refilled for
+    the next tile, so the windows are valid only during the call: a
+    predictor must not keep them, and what it returns is copied out before
+    the next fill.
     """
 
     radius: tuple[int, ...]
@@ -219,7 +224,7 @@ class LearnedStencil:
     (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,), both held as float64.
     On a window view's tile :meth:`predict_windows` takes one matmul per
     outer in-window offset (k_1..k_{d-2}) over a copy of the tile's runs of
-    padded cells, one run per block of ``BAND`` windows and grid row, with
+    slab cells, one run per block of ``BAND`` windows and grid row, with
     banded matrices built once from the weights; otherwise one matmul per
     leading in-window offset, each over one window row (``W_d * N_c``
     features) of every window, read in place.
@@ -264,12 +269,13 @@ class LearnedStencil:
         of extent > 1 the step between windows equals the in-window step, as
         in a :func:`window_view` tile, the rows at offset k of ``BAND``
         consecutive windows are one run of ``run = (BAND + W_d - 1) * N_c``
-        padded cells, and a banded block-Toeplitz matrix maps it to all
+        cells of the zero-extended grid (of the slab ``integrate_predictions``
+        fills), and a banded block-Toeplitz matrix maps it to all
         ``BAND * N_c`` of their outputs.  The runs under the tile are copied
         once to a contiguous ``(..., L_1..L_{d-2}, blocks, L_{d-1}, run)``
         buffer, with ``L_i = N_i + W_i - 1`` grid rows on leading axis i
         (``N_i`` is 1 where a tile cut inside a row has dropped the axis):
-        about three times the tile's padded rows at 17 x 17.  The ``W_{d-1}``
+        about three times the tile's slab rows at 17 x 17.  The ``W_{d-1}``
         runs under one output row of one block are then one stretch of
         ``W_{d-1} * run`` values, so the ``W_{d-1}`` band matrices of an outer
         offset (k_1..k_{d-2}) stack into one ``(W_{d-1} * run, BAND * N_c)``
@@ -299,7 +305,7 @@ class LearnedStencil:
             lead, grid, lsteps = ((sizes[:-1], grid, strides[-d - 1:-2]) if d > 1
                                   else ((1,), [1], (0,)))
             run = (BAND + w_d - 1) * nc
-            # runs[..., p_1..p_{d-2}, i, p_{d-1}, :] is the padded run under row p
+            # runs[..., p_1..p_{d-2}, i, p_{d-1}, :] is the slab run under row p
             # of windows i * BAND .. (i + 1) * BAND - 1, copied once; the
             # W_{d-1} runs under one output row of one block are then one
             # stretch of W_{d-1} * run values

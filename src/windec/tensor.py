@@ -5,8 +5,9 @@ contiguous float64 buffer laid out row-major with the batch axis slowest and
 the channel axis fastest, i.e. element ``(b, i_1..i_d, c)`` lives at flat
 index ``((..(b*N_1 + i_1)*N_2 + i_2 ..)*N_c + c)``.  The buffer is read-only,
 so tensors can be shared without defensive copies.  ``pad_zeros`` builds a
-fresh tensor and never mutates its input; prediction pads a grid once with
-it and reads its windows through a strided view (see
+fresh tensor and never mutates its input; ``expand_domain`` pads with it.
+Prediction pads nothing whole: it zero-extends one tile at a time into a
+slab buffer and reads the windows through a strided view of that (see
 :mod:`windec.windowing`).
 """
 

@@ -1,10 +1,12 @@
 """Window prediction over batched grids, and the decomposition it computes.
 
-Prediction takes pad -> window view -> predict: the grid is padded once with
-zeros by the window radius, one read-only strided view holds the window of
-every cell (``window_view``), and each tile of that view goes to the
-predictor's ``predict_windows``; the centers it returns are written into the
-output.  No window is copied on the way.
+Prediction takes slab -> window view -> predict: the cells are cut into
+tiles, each tile's cells plus a halo of the window radius are filled into a
+slab buffer with zeros outside the grid (``_fill_slab``), one read-only
+strided view of the slab holds the window of every cell of the tile
+(``window_view``), and it goes to the predictor's ``predict_windows``; the
+centers it returns are written into the output.  No window is copied on the
+way, and no zero-padded copy of the whole grid is made.
 
 The decomposition is defined by four functions that the acceptance gate
 checks and prediction does not call: ``expand_domain`` zero-pads each extent
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -206,16 +209,46 @@ def _tiles(extents: Sequence[int], max_cells: int) -> Iterator[tuple]:
             yield (*outer, slice(lo, lo + step))
 
 
+def _fill_slab(slab: np.ndarray, grid: np.ndarray, corner: Sequence[int],
+               held: tuple | None) -> tuple:
+    """Fill ``slab`` with the cells of ``grid`` under it, zero-extended.
+
+    ``slab[0, .., 0]`` lies at grid index ``corner`` (one entry per axis but
+    the channels, negative inside the halo before the grid); every slab cell
+    outside ``grid`` is 0.  ``held`` is the box of slab cells the previous
+    fill of this slab copied, or None for a fresh slab: the cells outside it
+    still hold their zeros, so they are written again only when the box
+    moves.  Returns the box copied now, the ``held`` of the next fill.
+    """
+    box, cells = [], []
+    for c, m, n in zip(corner, slab.shape, grid.shape):
+        lo, hi = max(0, -c), min(m, n - c)
+        box.append(slice(lo, hi))
+        cells.append(slice(c + lo, c + hi))
+    box = tuple(box)
+    if box != held:
+        for i, b in enumerate(box):  # the faces outside the box, axis by axis
+            slab[(slice(None),) * i + (slice(0, b.start),)] = 0.0
+            slab[(slice(None),) * i + (slice(b.stop, None),)] = 0.0
+    slab[box] = grid[tuple(cells)]
+    return box
+
+
 def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTensor:
     """Predict the next field for every cell of ``t`` from exactly its own window.
 
-    The window of a cell is the W-box around it in ``t`` zero-padded by
-    ``w.radius``.  The grid is padded once and viewed as every window
-    (:func:`window_view`); each tile of cells covering at most ``TILE_BYTES``
-    of window rows (several whole frames of the batch, when they fit) goes to
-    ``predictor.predict_windows`` as a read-only ``(..., W_1..W_d, N_c)`` view
-    of the padded grid, and the returned ``(..., N_c)`` centers are written to
-    their cells.  No window is copied here.
+    The window of a cell is the W-box around it in ``t`` zero-extended by
+    ``w.radius``.  The cells are cut into tiles, each covering at most
+    ``TILE_BYTES`` of window rows (several whole frames of the batch, when
+    they fit).  A tile's cells plus a ``w.radius`` halo on every spatial axis
+    are filled into a slab buffer of this call, zeros outside the grid, and
+    the slab's :func:`window_view` goes to ``predictor.predict_windows`` as a
+    read-only ``(..., W_1..W_d, N_c)`` array; the returned ``(..., N_c)``
+    centers are written to the tile's cells.  No window is copied here, and
+    no copy of the whole padded grid is made: besides its output the call
+    holds one slab for the full tiles and one for a ragged last tile, each
+    reused from tile to tile, so the windows are only valid until
+    ``predict_windows`` returns.
 
     Raises :class:`PredictorContractError` if the predictor returns the wrong
     shape or a non-finite value; predictors raise their own errors for
@@ -223,12 +256,27 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
     """
     if w.ndim != t.ndim:
         raise RankError(f"window rank {w.ndim} does not match grid rank {t.ndim}")
-    padded = pad_zeros(t, w.radius, w.radius).data
-    windows = window_view(padded, w.sizes)
+    grid = t.data
+    halo = (0, *w.radius)  # per grid axis; the batch axis has none
     out = np.empty(t.dims)
-    max_cells = max(1, TILE_BYTES // (w.sizes[-1] * t.channels * padded.itemsize))
+    max_cells = max(1, TILE_BYTES // (w.sizes[-1] * t.channels * grid.itemsize))
+    # tile length along the cut axis -> [slab, its windows as a tile, held box]
+    slabs = {}
     for tile in _tiles(t.dims[:-1], max_cells):
-        got = np.asarray(predictor.predict_windows(windows[tile]))
+        *outer, cut = tile
+        k = len(outer)
+        lo = cut.start
+        m = min(cut.stop, grid.shape[k]) - lo
+        if m not in slabs:
+            shape = (*(1 + 2 * h for h in halo[:k]), m + 2 * halo[k],
+                     *(n + 2 * h for n, h in zip(grid.shape[k + 1:], halo[k + 1:])),
+                     t.channels)
+            slab = np.empty(shape)
+            slabs[m] = [slab, window_view(slab, w.sizes)[(0,) * k], None]
+        slab, windows, held = slabs[m]
+        corner = (*map(operator.sub, outer, halo), lo - halo[k], *(-h for h in halo[k + 1:]))
+        slabs[m][2] = _fill_slab(slab, grid, corner, held)
+        got = np.asarray(predictor.predict_windows(windows))
         target = out[tile]
         if got.shape != target.shape:
             raise PredictorContractError(f"predictor returned {got.shape}, "

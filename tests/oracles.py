@@ -2,7 +2,8 @@
 
 Everything here recomputes expected results through a different code path
 than the module under test: direct index arithmetic, scipy's interpolation
-and correlation routines, explicit padded-array slicing, per-block
+and correlation routines, explicit padded-array slicing, windows viewed on
+one zero-padded copy of the whole grid (prediction fills a slab per tile), per-block
 split/stack decomposition, one-sample-at-a-time loops, an SVD in place
 of the normal equations, or normal equations summed over explicitly listed
 blocks of samples.  The copy-based ``split``, ``stack`` and
@@ -25,6 +26,7 @@ from windec import (
     SliceBoundsError,
     expand_domain,
 )
+from windec.windowing import _tiles, window_view
 
 
 def flat_index(dims, coords):
@@ -261,6 +263,23 @@ def offset_sweep_integrate(t, w, predictor):
         idx = (slice(None), *(slice(pi, None, wi) for pi, wi in zip(p, w.sizes)), slice(None))
         canvas[idx] = lattice.data
     return canvas[(slice(None), *(slice(0, n) for n in rec.original), slice(None))]
+
+
+def pad_view_integrate(t, w, predictor, tile_bytes):
+    """Full-field prediction from one zero-padded copy of the whole grid.
+
+    The grid is padded by the window radius with ``np.pad``, viewed as every
+    window with ``window_view``, and each tile of ``windowing._tiles`` (the
+    same tiles, from the same byte cap) goes to the predictor as a view of
+    that padded copy.  Returns a plain array.
+    """
+    padded = np.pad(t.data, [(0, 0), *((r, r) for r in w.radius), (0, 0)])
+    windows = window_view(padded, w.sizes)
+    out = np.empty(t.dims)
+    max_cells = max(1, tile_bytes // (w.sizes[-1] * t.channels * 8))
+    for tile in _tiles(t.dims[:-1], max_cells):
+        out[tile] = predictor.predict_windows(windows[tile])
+    return out
 
 
 def sample_pairs_loop(ds, w, sample_budget, seed, pair_indices=None):

@@ -37,6 +37,7 @@ from oracles import (
     gather_window,
     impulse,
     offset_sweep_integrate,
+    pad_view_integrate,
     slice_region,
     split_stack_chunk,
     upwind_full,
@@ -342,6 +343,88 @@ def test_integrate_matches_offset_sweep_oracle(monkeypatch, kind, sizes, extents
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])
+@pytest.mark.parametrize("sizes,extents,channels", [
+    ((5,), (13,), 1),
+    ((3,), (17,), 2),
+    ((3, 5), (7, 11), 1),
+    ((5, 3), (9, 8), 2),
+    ((5, 5), (6, 26), 1),
+    ((3, 3, 3), (5, 4, 7), 2),
+    ((5, 3, 5), (4, 5, 17), 1),
+    # windows wider than the grid on every axis, the cut one included
+    ((9,), (3,), 2),
+    ((7, 9), (3, 4), 1),
+    ((5, 5, 7), (2, 2, 3), 2),
+])
+# batch: two of the three frames per tile, the last tile one frame; rows: two
+# rows of the first grid axis (two cells in 1-D), ragged where that extent is
+# odd; plane: two lines along the last axis, so a 3-D tile is cut inside a
+# plane; pieces: runs of N_d - 1 cells, so each row ends in a one-cell tile
+@pytest.mark.parametrize("tiling", ["batch", "rows", "plane", "pieces"])
+def test_integrate_equals_prediction_from_one_padded_grid(monkeypatch, kind, sizes, extents,
+                                                          channels, tiling):
+    # each tile's slab holds what the tile reads of a zero-padded copy of the
+    # whole grid, so every predictor gets the same windows, tile for tile
+    w = WindowSpec(sizes)
+    tile_cells = {
+        "batch": 2 * math.prod(extents),
+        "rows": 2 * math.prod(extents[1:]),
+        "plane": 2 * extents[-1],
+        "pieces": max(1, extents[-1] - 1),
+    }[tiling]
+    tile_bytes = tile_cells * sizes[-1] * channels * 8
+    monkeypatch.setattr(windowing, "TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(31)
+    t = rand_tensor(rng, (3, *extents, channels))
+    pred = _oracle_predictor(kind, w, channels, rng)
+    got = integrate_predictions(t, w, pred).data
+    assert np.array_equal(got, pad_view_integrate(t, w, pred, tile_bytes))
+
+
+@pytest.mark.parametrize("sizes,dims", [
+    ((9, 9), (1, 256, 256)),
+    ((17, 17), (2, 200, 200)),
+    ((3, 3, 3), (2, 40, 40, 40)),
+    ((5, 5, 5), (1, 48, 48, 48)),
+])
+def test_integrate_holds_slabs_not_a_padded_grid(monkeypatch, sizes, dims):
+    # beside its output a call holds one slab for the full tiles and one for
+    # the ragged last tile, each a tile's cells plus the halo: here up to
+    # 2.4 times TILE_BYTES, where a padded copy of the grid takes 8 to 18 times
+    tile_bytes = 64 * 1024
+    monkeypatch.setattr(windowing, "TILE_BYTES", tile_bytes)
+    w = WindowSpec(sizes)
+    t = rand_tensor(np.random.default_rng(32), (*dims, 1))
+    padded = dims[0] * math.prod(n + s - 1 for n, s in zip(dims[1:], sizes)) * 8
+    assert padded >= 8 * tile_bytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = integrate_predictions(t, w, IdentityPredictor(w.ndim))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.equals(t)
+    assert peak - out.data.nbytes < 3 * tile_bytes
+
+
+def test_integrate_copies_centers_a_predictor_returns_as_views_of_its_windows(monkeypatch):
+    # the slabs are reused from tile to tile, so a predictor's output that
+    # still points into them must be copied out before the next fill
+    w = WindowSpec((5, 3, 3))
+
+    class CenterView:
+        radius = (0, 0, 0)
+
+        def predict_windows(self, windows):
+            return windows[..., 2, 1, 1, :]
+
+    monkeypatch.setattr(windowing, "TILE_BYTES", 7 * 3 * 2 * 8)
+    t = rand_tensor(np.random.default_rng(33), (2, 6, 5, 9, 2))
+    assert integrate_predictions(t, w, CenterView()).equals(t)
+
+
 @st.composite
 def perturbed_cell(draw):
     d = draw(st.integers(1, 3))
@@ -627,14 +710,14 @@ def test_stencil_takes_one_matmul_per_outer_offset_per_tile(monkeypatch, sizes, 
 
 @pytest.mark.parametrize("kind", ["identity", "upwind", "diffusion", "learned"])
 def test_builtin_predictors_read_windows_in_place(monkeypatch, kind):
-    padded, seen = [], []
-    pad = windowing.pad_zeros
+    slabs, seen = [], []
+    fill = windowing._fill_slab
 
-    def pad_spy(*args):
-        padded.append(pad(*args))
-        return padded[-1]
+    def fill_spy(slab, *args):
+        slabs.append(slab)
+        return fill(slab, *args)
 
-    monkeypatch.setattr(windowing, "pad_zeros", pad_spy)
+    monkeypatch.setattr(windowing, "_fill_slab", fill_spy)
     rng = np.random.default_rng(17)
     w = WindowSpec((5, 3))
     t = rand_tensor(rng, (2, 9, 8, 2))
@@ -647,9 +730,9 @@ def test_builtin_predictors_read_windows_in_place(monkeypatch, kind):
 
     monkeypatch.setattr(type(pred), "predict_windows", spy)
     integrate_predictions(t, w, pred)
-    assert len(padded) == 1 and seen
-    for windows in seen:
-        assert np.shares_memory(windows, padded[0].data)
+    assert len(slabs) == len(seen) > 0
+    for slab, windows in zip(slabs, seen):
+        assert np.shares_memory(windows, slab)
         assert not windows.flags.writeable
 
 

@@ -72,6 +72,7 @@ from .models import (
     IdentityPredictor,
     LearnedStencil,
     MetricsRecord,
+    MetricSums,
     Predictor,
     UpwindStencil,
     fit_global_linear,

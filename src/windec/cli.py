@@ -31,7 +31,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -58,20 +58,25 @@ from .models import (
     DiffusionStencil,
     IdentityPredictor,
     MetricsRecord,
+    MetricSums,
     UpwindStencil,
     fit_global_linear,
     fit_stencil,
-    metrics_record,
 )
 from .sizing import SizingReport, recommend_window
 from .tensor import BatchTensor, Shape
 from .windowing import (
     WindowSpec,
+    _predicted_tiles,
     chunk_domain,
-    integrate_predictions,
     receptive_field_probe,
     window_patch,
 )
+
+# A frame's prediction as ``(tile, centers)`` parts: ``centers`` predicts the
+# cells ``frame.data[tile]``, and is valid until the next part is drawn.
+Predict = Callable[[BatchTensor], Iterable[tuple[tuple, np.ndarray]]]
+
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
@@ -128,8 +133,9 @@ def _resolve_window(cfg: ExperimentConfig, ds: Dataset) -> WindowSpec:
 
 
 def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpec | None,
-                     train_pairs: list[int]) -> Callable[[BatchTensor], BatchTensor]:
-    """Frame -> next-frame map of predictor ``kind``; it looks its callee up at each call."""
+                     train_pairs: list[int]) -> Predict:
+    """Tile-by-tile prediction of a frame by predictor ``kind``; it looks its callee
+    up at each call.  The global baseline predicts the whole frame as one tile."""
     fit = dict(ridge_lambda=cfg.predictor.ridge_lambda, sample_budget=cfg.predictor.sample_budget,
                seed=cfg.seed, pair_indices=train_pairs)
     if kind == "identity":
@@ -151,22 +157,35 @@ def _build_predictor(kind: str, cfg: ExperimentConfig, ds: Dataset, w: WindowSpe
         local = fit_stencil(ds, w, **fit)
     else:
         model = fit_global_linear(ds, **fit)
-        return lambda frame: model.predict_frame(frame)
-    return lambda frame: integrate_predictions(frame, w, local)
+        return lambda frame: [((), model.predict_frame(frame).data)]
+    return lambda frame: _predicted_tiles(frame, w, local)
 
 
-def _evaluate_pairs(ds: Dataset, pairs: list[int], predict: Callable[[BatchTensor], BatchTensor],
-                    timings: dict[str, float]) -> list[tuple[int, MetricsRecord]]:
-    """Metrics of each pair; adds prediction and metric seconds to ``timings``."""
+def _evaluate_pairs(ds: Dataset, pairs: list[int], predict: Predict,
+                    timings: dict[str, float]) -> list[tuple[int, MetricsRecord, int]]:
+    """``(frame, metrics, zero-truth cells)`` of each pair; adds prediction and
+    metric seconds to ``timings``.
+
+    Each tile is scored against the truth under it as soon as it is
+    predicted, so no predicted frame and no frame of differences is held.
+    """
     rows = []
+    elapsed = scoring = 0.0
     for t in pairs:
+        truth = ds.frames[t + 1].data
         t0 = time.perf_counter()
-        pred = predict(ds.frames[t])
+        sums = MetricSums.of(truth)
+        scoring += time.perf_counter() - t0
+        for tile, centers in predict(ds.frames[t]):
+            t1 = time.perf_counter()
+            sums.add(centers, truth[tile])
+            scoring += time.perf_counter() - t1
         t1 = time.perf_counter()
-        rows.append((t, metrics_record(pred, ds.frames[t + 1])))
-        del pred  # not alive while the next frame is predicted
-        timings["predict"] = timings.get("predict", 0.0) + (t1 - t0)
-        timings["metrics"] = timings.get("metrics", 0.0) + (time.perf_counter() - t1)
+        rows.append((t, sums.record(), sums.excluded))
+        scoring += time.perf_counter() - t1
+        elapsed += time.perf_counter() - t0
+    timings["predict"] = timings.get("predict", 0.0) + (elapsed - scoring)
+    timings["metrics"] = timings.get("metrics", 0.0) + scoring
     return rows
 
 
@@ -239,21 +258,21 @@ def cmd_eval(args) -> int:
     out = _out_dir(args, cfg.out_dir)
     for name, rows in (("train", train_rows), ("test", test_rows)):
         _write_csv(out / f"metrics_{name}.csv", "frame,rel_l2,paper_l2,r2",
-                   [(t, m.rel_l2, m.paper_l2, m.r2) for t, m in rows])
+                   [(t, m.rel_l2, m.paper_l2, m.r2) for t, m, _ in rows])
     record = {
         "tool_version": __version__,
         "seed": cfg.seed,
         "config": cfg.snapshot(),
         "window": list(w.sizes) if w is not None else None,
-        "train": [{"frame": t, **asdict(m)} for t, m in train_rows],
-        "test": [{"frame": t, **asdict(m)} for t, m in test_rows],
+        "train": [{"frame": t, **asdict(m), "excluded": n} for t, m, n in train_rows],
+        "test": [{"frame": t, **asdict(m), "excluded": n} for t, m, n in test_rows],
         "timings": timings,
     }
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    mean_rel = statistics.fmean(m.rel_l2 for _, m in test_rows) if test_rows else float("nan")
-    mean_r2 = statistics.fmean(m.r2 for _, m in test_rows) if test_rows else float("nan")
+    mean_rel = statistics.fmean(m.rel_l2 for _, m, _ in test_rows) if test_rows else float("nan")
+    mean_r2 = statistics.fmean(m.r2 for _, m, _ in test_rows) if test_rows else float("nan")
     print(f"window={list(w.sizes) if w else None} predictor={cfg.predictor.kind}")
     print(f"test mean rel_l2={_fmt(mean_rel)} mean r2={_fmt(mean_r2)}")
     print(f"wrote {out / 'metrics_train.csv'}, {out / 'metrics_test.csv'}, {out / 'run.json'}")
@@ -292,8 +311,8 @@ def cmd_sweep(args) -> int:
             test_rows = _evaluate_pairs(ds, test_pairs, stencil, {})
             rows.append((
                 wcells, freq,
-                statistics.fmean(m.r2 for _, m in test_rows),
-                statistics.fmean(m.rel_l2 for _, m in test_rows),
+                statistics.fmean(m.r2 for _, m, _ in test_rows),
+                statistics.fmean(m.rel_l2 for _, m, _ in test_rows),
             ))
             print(f"window={wcells} freq={freq}: r2={rows[-1][2]:.6f} "
                   f"rel_l2={rows[-1][3]:.3e}")

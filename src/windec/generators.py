@@ -592,13 +592,8 @@ def read_dataset(path) -> Dataset:
             raise FormatError(f"invalid header values: {exc}") from exc
         frame_bytes = grid.count * 8
         check_payload(fh, (n_steps + 1) * frame_bytes, "frames")
-        # one array for every frame, not one per frame: on glibc, freeing it
-        # lifts the adaptive mmap and trim thresholds above a frame, so the
-        # frame-sized arrays of a later eval (each prediction's output and
-        # metrics_record's frame of differences) come from the heap instead
-        # of fresh pages (eval-2d-w17, when prediction still padded each
-        # frame: about 5000 minor page faults per pass with one array per
-        # frame, 5 with one array)
+        # one array for every frame, each frame's tensor adopting a view of
+        # it: one allocation however many frames the file holds
         payload = np.empty((n_steps + 1, *grid.dims), dtype="<f8")
         frames = []
         for t, arr in enumerate(payload):

@@ -23,6 +23,10 @@ whole frames to whole frames.  Fitted from fewer frames than a frame has
 values, the baseline keeps its ridge solution in sample space (two n x p
 factors), so it never holds a dense whole-frame-squared weight matrix.
 
+The metrics (``rel_l2``, ``paper_l2``, ``r2``) are ratios of per-cell sums,
+so ``MetricSums`` can add them up tile by tile as each tile is predicted;
+the whole-array functions take the same sums over one tile.
+
 Every predictor declares its dependence radius: cells outside the central
 ``(2r+1)^d`` sub-window never influence its output.
 """
@@ -69,13 +73,15 @@ class Predictor(Protocol):
 
     ``predict_windows`` works like a gufunc with core dimensions
     ``(W_1..W_d, N_c) -> (N_c)``: it maps a read-only ``(..., W_1..W_d, N_c)``
-    array of windows to ``(..., N_c)`` centers.  ``integrate_predictions``
-    passes strided views of a slab buffer, the tile's cells zero-extended by
-    the window radius, so a predictor that copies its windows copies up to
+    array of windows to ``(..., N_c)`` centers.  Prediction, both
+    ``integrate_predictions`` and the CLI's evaluation, passes it strided
+    views of a slab buffer, one tile's cells zero-extended by the window
+    radius, so a predictor that copies its windows copies up to
     prod(W_1..W_{d-1}) * ``TILE_BYTES`` per call.  The slab is refilled for
     the next tile, so the windows are valid only during the call: a
-    predictor must not keep them, and what it returns is copied out before
-    the next fill.
+    predictor must not keep them, and what it returns is written into an
+    output frame or scored against the truth before the next fill, so it
+    may be a view of them.
     """
 
     radius: tuple[int, ...]
@@ -688,23 +694,34 @@ class MetricsRecord:
     r2: float
 
 
+def _array(x) -> np.ndarray:
+    return x.data if isinstance(x, BatchTensor) else np.asarray(x, dtype=np.float64)
+
+
 def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    p = pred.data if isinstance(pred, BatchTensor) else np.asarray(pred, dtype=np.float64)
-    t = truth.data if isinstance(truth, BatchTensor) else np.asarray(truth, dtype=np.float64)
+    p, t = _array(pred), _array(truth)
     if p.shape != t.shape:
         raise ShapeMismatchError(f"prediction {p.shape} vs truth {t.shape}")
     return p.ravel(), t.ravel()
 
 
-def _rel_l2(d: np.ndarray, t: np.ndarray) -> float:
-    den = float(np.linalg.norm(t))
-    num = float(np.linalg.norm(d))
+# Each metric is a ratio of per-cell sums: ``_*_terms`` sum a part of the
+# frame, and the finishing function takes the sums over the whole frame.
+
+
+def _rel_terms(d: np.ndarray, t: np.ndarray) -> tuple[float, float]:
+    """Sum d^2 and t^2, each as the dot product ``np.linalg.norm`` takes."""
+    return float(d.dot(d)), float(t.dot(t))
+
+
+def _rel_l2(res_dot: float, truth_dot: float) -> float:
+    num, den = math.sqrt(res_dot), math.sqrt(truth_dot)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den
 
 
-def _paper_l2(d: np.ndarray, t: np.ndarray) -> tuple[float, int]:
+def _paper_terms(d: np.ndarray, t: np.ndarray) -> tuple[float, int]:
     """The summed |d_i| / |t_i| over cells with non-zero truth, and how many
     cells have zero truth.  Overwrites ``d`` when no truth cell is zero."""
     excluded = int(t.size - np.count_nonzero(t))
@@ -717,20 +734,71 @@ def _paper_l2(d: np.ndarray, t: np.ndarray) -> tuple[float, int]:
     return float(np.sum(np.abs(d, out=d))), excluded
 
 
-def _r2(d: np.ndarray, t: np.ndarray) -> float:
-    """1 - SS_res / SS_tot, summing each in ``d``'s memory.  Overwrites ``d``."""
-    ss_res = float(np.sum(np.square(d, out=d)))
-    np.subtract(t, t.mean(), out=d)
-    ss_tot = float(np.sum(np.square(d, out=d)))
-    if ss_tot == 0.0:
+def _r2_terms(d: np.ndarray, t: np.ndarray, mean: float) -> tuple[float, float]:
+    """Sum d^2 and (t - mean)^2 pairwise, each in ``d``'s memory.  Overwrites ``d``."""
+    res = float(np.sum(np.square(d, out=d)))
+    np.subtract(t, mean, out=d)
+    return res, float(np.sum(np.square(d, out=d)))
+
+
+def _r2(res: float, dev: float) -> float:
+    """1 - SS_res / SS_tot."""
+    if dev == 0.0:
         raise DegenerateTruth("truth has zero variance; r2 is undefined")
-    return 1.0 - ss_res / ss_tot
+    return 1.0 - res / dev
+
+
+@dataclass
+class MetricSums:
+    """The per-cell sums the three metrics are ratios of, added up part by part.
+
+    :meth:`of` starts the sums of one truth frame, reading its mean; each
+    :meth:`add` takes a prediction of some of its cells and the truth under
+    them, so a frame can be scored tile by tile as it is predicted; then
+    :meth:`record` gives the metrics.  Added over one part holding the whole
+    frame, the sums are exactly those of :func:`metrics_record`.  The sum of
+    squared differences is kept twice, summed as ``rel_l2`` and ``r2`` each
+    sum it, so that each keeps its own value bit for bit.
+    """
+
+    truth_mean: float
+    res_dot: float = 0.0  # sum of d^2, as dot products (rel_l2)
+    truth_dot: float = 0.0  # sum of t^2, as dot products (rel_l2)
+    paper: float = 0.0  # sum of |d| / |t| over non-zero truth (paper_l2)
+    excluded: int = 0  # cells with zero truth (paper_l2)
+    res: float = 0.0  # sum of d^2, pairwise (r2)
+    dev: float = 0.0  # sum of (t - truth_mean)^2, pairwise (r2)
+
+    @classmethod
+    def of(cls, truth) -> "MetricSums":
+        return cls(float(_array(truth).ravel().mean()))
+
+    def add(self, pred, truth) -> None:
+        """Add the terms of ``pred`` against ``truth``, using one array of differences."""
+        p, t = _pair(pred, truth)
+        d = p - t
+        res_dot, truth_dot = _rel_terms(d, t)
+        paper, excluded = _paper_terms(d, t)
+        np.subtract(p, t, out=d)
+        res, dev = _r2_terms(d, t, self.truth_mean)
+        self.res_dot += res_dot
+        self.truth_dot += truth_dot
+        self.paper += paper
+        self.excluded += excluded
+        self.res += res
+        self.dev += dev
+
+    def record(self) -> MetricsRecord:
+        """The metrics of the cells added so far; raises :class:`DegenerateTruth` if
+        their truth is constant."""
+        return MetricsRecord(_rel_l2(self.res_dot, self.truth_dot), self.paper,
+                             _r2(self.res, self.dev))
 
 
 def rel_l2(pred, truth) -> float:
     """Norm-ratio error ||pred - truth||_2 / ||truth||_2."""
     p, t = _pair(pred, truth)
-    return _rel_l2(p - t, t)
+    return _rel_l2(*_rel_terms(p - t, t))
 
 
 def paper_l2(pred, truth, return_excluded: bool = False):
@@ -740,7 +808,7 @@ def paper_l2(pred, truth, return_excluded: bool = False):
     logged and optionally returned.
     """
     p, t = _pair(pred, truth)
-    value, excluded = _paper_l2(p - t, t)
+    value, excluded = _paper_terms(p - t, t)
     if return_excluded:
         return value, excluded
     return value
@@ -749,21 +817,18 @@ def paper_l2(pred, truth, return_excluded: bool = False):
 def r2(pred, truth) -> float:
     """Coefficient of determination 1 - SS_res / SS_tot."""
     p, t = _pair(pred, truth)
-    return _r2(p - t, t)
+    return _r2(*_r2_terms(p - t, t, t.mean()))
 
 
 def metrics_record(pred, truth) -> MetricsRecord:
-    """All three metrics with one frame-sized array, the differences ``d``.
+    """All three metrics, as :class:`MetricSums` over the whole frame.
 
-    The paper sum and r2 each overwrite ``d``, so it is formed a second time
-    in the same memory; each value is bit-identical to its own function's.
+    It holds one frame-sized array, the differences; each value is
+    bit-identical to its own function's.
     """
-    p, t = _pair(pred, truth)
-    d = p - t
-    rel = _rel_l2(d, t)
-    paper, _ = _paper_l2(d, t)
-    np.subtract(p, t, out=d)
-    return MetricsRecord(rel, paper, _r2(d, t))
+    sums = MetricSums.of(truth)
+    sums.add(pred, truth)
+    return sums.record()
 
 
 # --- stencil container ------------------------------------------------------

@@ -1,12 +1,15 @@
 """Window prediction over batched grids, and the decomposition it computes.
 
-Prediction takes slab -> window view -> predict: the cells are cut into
-tiles, each tile's cells plus a halo of the window radius are filled into a
-slab buffer with zeros outside the grid (``_fill_slab``), one read-only
-strided view of the slab holds the window of every cell of the tile
-(``window_view``), and it goes to the predictor's ``predict_windows``; the
-centers it returns are written into the output.  No window is copied on the
-way, and no zero-padded copy of the whole grid is made.
+Prediction takes slab -> window view -> predict -> write or score centers:
+the cells are cut into tiles, each tile's cells plus a halo of the window
+radius are filled into a slab buffer with zeros outside the grid
+(``_fill_slab``), one read-only strided view of the slab holds the window of
+every cell of the tile (``window_view``), and it goes to the predictor's
+``predict_windows``.  ``_predicted_tiles`` yields the centers it returns
+tile by tile; ``integrate_predictions`` writes them into an output frame,
+and the CLI's evaluation scores each against the truth under it before the
+next tile is predicted, so it holds no predicted frame.  No window is copied
+on the way, and no zero-padded copy of the whole grid is made.
 
 The decomposition is defined by four functions that the acceptance gate
 checks and prediction does not call: ``expand_domain`` zero-pads each extent
@@ -234,6 +237,47 @@ def _fill_slab(slab: np.ndarray, grid: np.ndarray, corner: Sequence[int],
     return box
 
 
+def _predicted_tiles(t: BatchTensor, w: WindowSpec,
+                     predictor) -> Iterator[tuple[tuple, np.ndarray]]:
+    """Yield ``(tile, centers)`` for every tile of ``t``'s cells, in order.
+
+    ``tile`` indexes ``t.dims[:-1]`` and ``centers`` is the checked
+    ``(..., N_c)`` prediction of its cells, valid until the next tile is
+    predicted: it may be a view of the slab, which the next fill overwrites.
+    Raises :class:`PredictorContractError` for a prediction of the wrong
+    shape or holding a non-finite value.
+    """
+    if w.ndim != t.ndim:
+        raise RankError(f"window rank {w.ndim} does not match grid rank {t.ndim}")
+    grid = t.data
+    halo = (0, *w.radius)  # per grid axis; the batch axis has none
+    max_cells = max(1, TILE_BYTES // (w.sizes[-1] * t.channels * grid.itemsize))
+    # tile length along the cut axis -> [slab, its windows as a tile, held box]
+    slabs = {}
+    for tile in _tiles(t.dims[:-1], max_cells):
+        *outer, cut = tile
+        k = len(outer)
+        lo = cut.start
+        m = min(cut.stop, grid.shape[k]) - lo
+        if m not in slabs:
+            shape = (*(1 + 2 * h for h in halo[:k]), m + 2 * halo[k],
+                     *(n + 2 * h for n, h in zip(grid.shape[k + 1:], halo[k + 1:])),
+                     t.channels)
+            slab = np.empty(shape)
+            slabs[m] = [slab, window_view(slab, w.sizes)[(0,) * k], None]
+        slab, windows, held = slabs[m]
+        corner = (*map(operator.sub, outer, halo), lo - halo[k], *(-h for h in halo[k + 1:]))
+        slabs[m][2] = _fill_slab(slab, grid, corner, held)
+        got = np.asarray(predictor.predict_windows(windows))
+        expected = grid[tile].shape
+        if got.shape != expected:
+            raise PredictorContractError(f"predictor returned {got.shape}, "
+                                         f"expected {expected}")
+        if not np.isfinite(got).all():
+            raise PredictorContractError("predictor returned NaN or Inf")
+        yield tile, got
+
+
 def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTensor:
     """Predict the next field for every cell of ``t`` from exactly its own window.
 
@@ -254,36 +298,9 @@ def integrate_predictions(t: BatchTensor, w: WindowSpec, predictor) -> BatchTens
     shape or a non-finite value; predictors raise their own errors for
     windows they cannot read.
     """
-    if w.ndim != t.ndim:
-        raise RankError(f"window rank {w.ndim} does not match grid rank {t.ndim}")
-    grid = t.data
-    halo = (0, *w.radius)  # per grid axis; the batch axis has none
     out = np.empty(t.dims)
-    max_cells = max(1, TILE_BYTES // (w.sizes[-1] * t.channels * grid.itemsize))
-    # tile length along the cut axis -> [slab, its windows as a tile, held box]
-    slabs = {}
-    for tile in _tiles(t.dims[:-1], max_cells):
-        *outer, cut = tile
-        k = len(outer)
-        lo = cut.start
-        m = min(cut.stop, grid.shape[k]) - lo
-        if m not in slabs:
-            shape = (*(1 + 2 * h for h in halo[:k]), m + 2 * halo[k],
-                     *(n + 2 * h for n, h in zip(grid.shape[k + 1:], halo[k + 1:])),
-                     t.channels)
-            slab = np.empty(shape)
-            slabs[m] = [slab, window_view(slab, w.sizes)[(0,) * k], None]
-        slab, windows, held = slabs[m]
-        corner = (*map(operator.sub, outer, halo), lo - halo[k], *(-h for h in halo[k + 1:]))
-        slabs[m][2] = _fill_slab(slab, grid, corner, held)
-        got = np.asarray(predictor.predict_windows(windows))
-        target = out[tile]
-        if got.shape != target.shape:
-            raise PredictorContractError(f"predictor returned {got.shape}, "
-                                         f"expected {target.shape}")
-        if not np.isfinite(got).all():
-            raise PredictorContractError("predictor returned NaN or Inf")
-        target[...] = got
+    for tile, centers in _predicted_tiles(t, w, predictor):
+        out[tile] = centers
     return BatchTensor(out)
 
 

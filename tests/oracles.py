@@ -3,10 +3,11 @@
 Everything here recomputes expected results through a different code path
 than the module under test: direct index arithmetic, scipy's interpolation
 and correlation routines, explicit padded-array slicing, windows viewed on
-one zero-padded copy of the whole grid (prediction fills a slab per tile), per-block
-split/stack decomposition, one-sample-at-a-time loops, an SVD in place
-of the normal equations, or normal equations summed over explicitly listed
-blocks of samples.  The copy-based ``split``, ``stack`` and
+one zero-padded copy of the whole grid (prediction fills a slab per tile),
+per-block split/stack decomposition, one-sample-at-a-time loops,
+whole-frame metric formulas (evaluation sums them tile by tile), an SVD in
+place of the normal equations, or normal equations summed over explicitly
+listed blocks of samples.  The copy-based ``split``, ``stack`` and
 ``slice_region`` primitives that the per-offset sweep is built from live
 here too, as does the unit ``impulse``; the library's prediction path does
 not use them.
@@ -280,6 +281,23 @@ def pad_view_integrate(t, w, predictor, tile_bytes):
     for tile in _tiles(t.dims[:-1], max_cells):
         out[tile] = predictor.predict_windows(windows[tile])
     return out
+
+
+def whole_frame_metrics(pred, truth):
+    """``(rel_l2, paper_l2, r2, zero-truth cells)`` of a whole predicted frame.
+
+    Each metric is one formula over the whole frame, as evaluation took them
+    before it scored tile by tile: norms of the frame of differences, the
+    relative errors gathered at the non-zero truth cells, and the residual
+    and total sums of squares about the truth mean.
+    """
+    p, t = np.ravel(pred), np.ravel(truth)
+    d = p - t
+    mask = t != 0.0
+    return (float(np.linalg.norm(d)) / float(np.linalg.norm(t)),
+            float(np.sum(np.abs(d[mask]) / np.abs(t[mask]))),
+            1.0 - float(np.sum(d ** 2)) / float(np.sum((t - t.mean()) ** 2)),
+            int(t.size - np.count_nonzero(t)))
 
 
 def sample_pairs_loop(ds, w, sample_budget, seed, pair_indices=None):

@@ -176,6 +176,26 @@ def test_eval_auto_window_on_external_dataset_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_run_record_counts_zero_truth_cells(tmp_path):
+    # paper_l2 skips cells whose truth is exactly 0; run.json says how many
+    rng = np.random.default_rng(8)
+    frames = [rng.standard_normal((2, 16, 16, 1)) for _ in range(5)]
+    for t, f in enumerate(frames):
+        f.flat[:3 * t] = 0.0
+    data = tmp_path / "external.ddld"
+    write_dataset(data, Dataset("external", [BatchTensor(f) for f in frames],
+                                GridPde(dx=1 / 16, dt=1.0), seed=0))
+    cfg = write_config(tmp_path, {"window": [3, 3], "predictor": {"kind": "identity"}})
+    assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 0
+    record = json.loads((tmp_path / "out" / "run.json").read_text())
+    rows = record["train"] + record["test"]
+    assert sorted(r["frame"] for r in rows) == [0, 1, 2, 3]
+    assert all(r["excluded"] == 3 * (r["frame"] + 1) for r in rows)
+    for part in ("train", "test"):
+        header = (tmp_path / "out" / f"metrics_{part}.csv").read_text().splitlines()[0]
+        assert header == "frame,rel_l2,paper_l2,r2"
+
+
 def test_eval_global_baseline_runs(tmp_path):
     cfg = write_config(tmp_path, {"predictor": {"kind": "global", "sample_budget": 64}})
     assert main(["eval", "--config", str(cfg)]) == 0

@@ -166,17 +166,18 @@ def _evaluate_pairs(ds: Dataset, pairs: list[int], predict: Predict,
     """``(frame, metrics, zero-truth cells)`` of each pair; adds prediction and
     metric seconds to ``timings``.
 
+    The pairs come from one :meth:`Dataset.pairs` walk, which reads each
+    frame of a file once when ``pairs`` is sorted and holds two at a time.
     Each tile is scored against the truth under it as soon as it is
     predicted, so no predicted frame and no frame of differences is held.
     """
     rows = []
     elapsed = scoring = 0.0
-    for t in pairs:
-        truth = ds.frames[t + 1].data
+    for t, now, truth in ds.pairs(pairs):
         t0 = time.perf_counter()
         sums = MetricSums.of(truth)
         scoring += time.perf_counter() - t0
-        for tile, centers in predict(ds.frames[t]):
+        for tile, centers in predict(BatchTensor(now)):
             t1 = time.perf_counter()
             sums.add(centers, truth[tile])
             scoring += time.perf_counter() - t1
@@ -251,9 +252,12 @@ def cmd_eval(args) -> int:
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train_rows = _evaluate_pairs(ds, train_pairs, predict, timings)
-    test_rows = _evaluate_pairs(ds, test_pairs, predict, timings)
+    # one sorted walk over both parts reads each frame once
+    scored = _evaluate_pairs(ds, sorted(train_pairs + test_pairs), predict, timings)
     timings["evaluate"] = time.perf_counter() - t0
+    train = set(train_pairs)
+    train_rows = [row for row in scored if row[0] in train]
+    test_rows = [row for row in scored if row[0] not in train]
 
     out = _out_dir(args, cfg.out_dir)
     for name, rows in (("train", train_rows), ("test", test_rows)):

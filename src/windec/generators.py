@@ -20,10 +20,14 @@ bit-exactly.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
+import weakref
+from collections import abc
 from dataclasses import dataclass, field
-from typing import BinaryIO, Mapping, NamedTuple, Sequence
+from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,32 +123,61 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A frame sequence u^0..u^T plus the parameters that generated it."""
+    """A frame sequence u^0..u^T plus the parameters that generated it.
+
+    ``frames`` is a tuple of :class:`BatchTensor` for a dataset built in
+    memory.  :func:`read_dataset` gives a file-backed sequence instead, whose
+    ``frames[t]`` reads frame t from the file afresh, checked as the reader
+    checked it.  :meth:`pairs` is the walk over frame pairs that fitting and
+    evaluation take, holding at most two frames of a file at a time.
+    """
 
     kind: str
-    frames: tuple[BatchTensor, ...]
+    frames: Sequence[BatchTensor]
     pde: GridPde
     seed: int
     meta: dict[str, str] = field(default_factory=dict)
+    _grid: Shape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
         if self.kind not in _KIND_CODES:
             raise DomainError(f"unknown dataset kind {self.kind!r}")
+        if isinstance(self.frames, _FrameFile):
+            object.__setattr__(self, "_grid", self.frames.grid)
+            return
+        object.__setattr__(self, "frames", tuple(self.frames))
         if not self.frames:
             raise ShapeMismatchError("a dataset needs at least one frame")
         dims = self.frames[0].dims
         for f in self.frames:
             if f.dims != dims:
                 raise ShapeMismatchError("all frames must share one shape")
+        object.__setattr__(self, "_grid", self.frames[0].shape)
 
     @property
     def grid(self) -> Shape:
-        return self.frames[0].shape
+        return self._grid
 
     @property
     def n_steps(self) -> int:
         return len(self.frames) - 1
+
+    def pairs(self, indices: Iterable[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Walk ``(t, frame t, frame t + 1)`` for each pair index t of ``indices``.
+
+        The frames are read-only arrays, valid until the next step.  In memory
+        they are the frames' own arrays.  From a file, frame f is read into
+        slot f % 2 of a two-frame workspace unless that slot holds it already,
+        so over sorted indices each frame is read at most once per walk; the
+        workspace is allocated once per dataset, and a walk started while
+        another is running gets buffers of its own.  Raises
+        :class:`DomainError` for an index outside ``[0, n_steps)``.
+        """
+        if isinstance(self.frames, _FrameFile):
+            return self.frames.pairs(indices)
+        frames, n_pairs = self.frames, self.n_steps
+        return ((t, frames[t].data, frames[t + 1].data)
+                for t in (_pair_index(i, n_pairs) for i in indices))
 
     def equals(self, other: "Dataset") -> bool:
         return (
@@ -155,6 +188,13 @@ class Dataset:
             and len(self.frames) == len(other.frames)
             and all(a.equals(b) for a, b in zip(self.frames, other.frames))
         )
+
+
+def _pair_index(t, n_pairs: int) -> int:
+    t = operator.index(t)
+    if not 0 <= t < n_pairs:
+        raise DomainError(f"pair index {t} out of range [0, {n_pairs})")
+    return t
 
 
 def _cell_centers(grid: Shape, dx: float) -> list[np.ndarray]:
@@ -517,8 +557,84 @@ def check_payload(fh: BinaryIO, n: int, what: str) -> None:
         raise FormatError(f"header implies {n} bytes of {what}, but {left} follow")
 
 
+class _FrameFile(abc.Sequence):
+    """The frames of a dataset file that :func:`read_dataset` validated, read on demand.
+
+    The file stays open from :func:`read_dataset` until this sequence is
+    collected, so a file renamed over the path does not change what is read.
+    Every read checks its length and that its values are finite, and raises
+    :class:`FormatError` otherwise, so a file truncated or written in place
+    is refused, never read.
+    """
+
+    def __init__(self, fh: BinaryIO, grid: Shape, count: int):
+        self.grid = grid
+        self._fh = fh
+        weakref.finalize(self, fh.close)
+        self._offset = fh.tell()
+        self._count = count
+        # the walks' two frames, also the buffer read_dataset checks frames in
+        self._workspace = np.empty((2, *grid.dims), dtype="<f8")
+        self._walking = False
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, t) -> BatchTensor:
+        """Frame t, read afresh into an array of its own."""
+        t = operator.index(t)
+        if not -self._count <= t < self._count:
+            raise IndexError(f"frame {t} out of range for {self._count} frames")
+        out = np.empty(self.grid.dims, dtype="<f8")
+        self._read(t % self._count, out)
+        return BatchTensor(out)
+
+    def _read(self, t: int, out: np.ndarray) -> None:
+        """Read frame t into the frame-sized ``out`` and check it."""
+        raw = memoryview(out).cast("B")
+        done = 0
+        while done < raw.nbytes:  # one preadv reads at most about 2 GiB
+            n = os.preadv(self._fh.fileno(), [raw[done:]],
+                          self._offset + t * raw.nbytes + done)
+            if not n:
+                raise FormatError(f"truncated file while reading frame {t}")
+            done += n
+        if not np.isfinite(out).all():
+            raise FormatError(f"frame {t} holds NaN or Inf")
+
+    def check_all(self) -> None:
+        """Read and check every frame, one at a time, in the workspace."""
+        for t in range(self._count):
+            self._read(t, self._workspace[0])
+
+    def pairs(self, indices: Iterable[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """:meth:`Dataset.pairs` of a file: frame f is read into slot f % 2."""
+        shared = not self._walking
+        workspace = self._workspace if shared else np.empty_like(self._workspace)
+        self._walking = True
+        try:
+            frames = workspace.view()
+            frames.flags.writeable = False
+            held = [None, None]
+            for t in indices:
+                t = _pair_index(t, self._count - 1)
+                for f in (t, t + 1):
+                    if held[f % 2] != f:
+                        self._read(f, workspace[f % 2])
+                        held[f % 2] = f
+                yield t, frames[t % 2], frames[(t + 1) % 2]
+        finally:
+            if shared:
+                self._walking = False
+
+
 def write_dataset(path, ds: Dataset) -> None:
-    """Serialize a dataset; floats round-trip bit-exactly."""
+    """Serialize a dataset; floats round-trip bit-exactly.
+
+    The file is written beside ``path`` under a temporary name and renamed
+    over it once complete, so a failed write leaves ``path`` as it was, and
+    a dataset read from ``path`` can be written back to it.
+    """
     grid = ds.grid
     d = grid.ndim
     c = ds.pde.c if ds.pde.c is not None else (0.0,) * d
@@ -529,29 +645,40 @@ def write_dataset(path, ds: Dataset) -> None:
     if ds.pde.c is None:
         meta["c"] = "unset"
     meta_bytes = "\n".join(f"{k}={v}" for k, v in sorted(meta.items())).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBBH", DATASET_MAGIC, DATASET_VERSION,
-                             _KIND_CODES[ds.kind], d, 0))
-        fh.write(struct.pack(f"<{d + 3}I", grid.batch, *grid.spatial, grid.channels,
-                             ds.n_steps))
-        fh.write(struct.pack(f"<2d{d}d2dQ", ds.pde.dt, ds.pde.dx, *c,
-                             ds.pde.nu, ds.pde.alpha, ds.seed))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        for frame in ds.frames:
-            # little-endian as declared, and no copy on a little-endian host
-            fh.write(frame.data.astype("<f8", copy=False))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # "x": a new file, with the mode open(path, "wb") would give it
+        with open(tmp, "xb") as fh:
+            fh.write(struct.pack("<4sIBBH", DATASET_MAGIC, DATASET_VERSION,
+                                 _KIND_CODES[ds.kind], d, 0))
+            fh.write(struct.pack(f"<{d + 3}I", grid.batch, *grid.spatial, grid.channels,
+                                 ds.n_steps))
+            fh.write(struct.pack(f"<2d{d}d2dQ", ds.pde.dt, ds.pde.dx, *c,
+                                 ds.pde.nu, ds.pde.alpha, ds.seed))
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            for frame in ds.frames:
+                # little-endian as declared, and no copy on a little-endian host
+                fh.write(frame.data.astype("<f8", copy=False))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_dataset(path) -> Dataset:
-    """Parse a dataset container, rejecting unknown magic or version.
+    """Parse and check a dataset container, rejecting unknown magic or version.
 
     A file that does not decode to a valid dataset, one holding a NaN or
-    Inf included, raises :class:`FormatError`.  The payload is read straight
-    into one array, and each frame's :class:`BatchTensor` adopts a view of
-    it, so the payload is held once.
+    Inf included, raises :class:`FormatError`.  Every frame is read and
+    checked here, one at a time, but none is kept: the dataset's frames are
+    read from the file again when they are used (see :meth:`Dataset.pairs`),
+    each read checked the same way, so a read holds two frames however many
+    the file has.
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         magic, version, kind_code, d, _ = struct.unpack(
             "<4sIBBH", read_exact(fh, 12, "header")
         )
@@ -590,16 +717,10 @@ def read_dataset(path) -> Dataset:
             pde = GridPde(dx=dx, dt=dt, c=c_opt, nu=nu, alpha=alpha, boundary=boundary)
         except Exception as exc:
             raise FormatError(f"invalid header values: {exc}") from exc
-        frame_bytes = grid.count * 8
-        check_payload(fh, (n_steps + 1) * frame_bytes, "frames")
-        # one array for every frame, each frame's tensor adopting a view of
-        # it: one allocation however many frames the file holds
-        payload = np.empty((n_steps + 1, *grid.dims), dtype="<f8")
-        frames = []
-        for t, arr in enumerate(payload):
-            if fh.readinto(arr) != frame_bytes:
-                raise FormatError(f"truncated file while reading frame {t}")
-            if not np.isfinite(arr).all():
-                raise FormatError(f"frame {t} holds NaN or Inf")
-            frames.append(BatchTensor(arr))
-    return Dataset(_KIND_NAMES[kind_code], tuple(frames), pde, seed, meta)
+        check_payload(fh, (n_steps + 1) * grid.count * 8, "frames")
+        frames = _FrameFile(fh, grid, n_steps + 1)
+        frames.check_all()
+    except BaseException:
+        fh.close()
+        raise
+    return Dataset(_KIND_NAMES[kind_code], frames, pde, seed, meta)

@@ -502,7 +502,8 @@ def _sample_blocks(
     ``rows`` of one frame pair, their windows ``x`` as fresh
     ``rows.size x prod(W_i)*N_c`` rows, and their next center values ``y``.
     A block holds at most ``TILE_BYTES`` of windows, or ``min_rows`` windows
-    where those take more.
+    where those take more.  The frames come from one :meth:`Dataset.pairs`
+    walk, and every block is a copy, so none outlives the walk's step.
     """
     pairs = _training_pairs(ds, pair_indices)
     if w.ndim != ds.grid.ndim:
@@ -528,10 +529,9 @@ def _sample_blocks(
     step = max(min_rows, windowing.TILE_BYTES // (n_features * 8))
 
     def blocks():
-        for t in np.unique(ts):
+        for t, now, after in ds.pairs(np.unique(ts)):
             take = np.flatnonzero(ts == t)
-            windows = window_view(ds.frames[t].data, w.sizes)
-            after = ds.frames[t + 1].data
+            windows = window_view(now, w.sizes)
             for i in range(0, take.size, step):
                 rows = take[i:i + step]
                 # the window of center c starts at c - r; no block is kept
@@ -675,9 +675,13 @@ def fit_global_linear(
     n_flat = math.prod(ds.grid.dims[1:])
     x = np.empty((len(combos), n_flat))
     y = np.empty((len(combos), n_flat))
+    rows: dict[int, list[tuple[int, int]]] = {}  # pair -> its (sample, batch item)s
     for s, (t, b) in enumerate(combos):
-        x[s] = ds.frames[t].data[b].ravel()
-        y[s] = ds.frames[t + 1].data[b].ravel()
+        rows.setdefault(int(t), []).append((s, b))
+    for t, now, after in ds.pairs(rows):
+        for s, b in rows[t]:
+            x[s] = now[b].ravel()
+            y[s] = after[b].ravel()
     factors, xm, ym = _solve_ridge(x, y, ridge_lambda)
     return GlobalLinearModel(ds.grid.dims, factors, xm, ym, ridge_lambda)
 

@@ -7,6 +7,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,32 @@ def test_eval_auto_window_and_data_file(tmp_path):
     record = json.loads((tmp_path / "out" / "run.json").read_text())
     w = record["window"]
     assert len(w) == 2 and all(v >= 3 and v % 2 == 1 for v in w)
+
+
+def test_eval_data_peak_does_not_grow_with_the_frame_count(tmp_path):
+    # eval --data walks the file two frames at a time: a 12-frame file of
+    # one grid takes what a 4-frame file takes, within one frame
+    peaks = {}
+    for n_steps in (3, 11):
+        work = tmp_path / str(n_steps)
+        work.mkdir()
+        cfg = write_config(work, {
+            "dataset": {"extents": [128, 128], "dx": 1 / 128, "c": [1 / 128, 0.0],
+                        "n_steps": n_steps},
+            "window": [5, 5], "predictor": {"kind": "stencil", "sample_budget": 512}})
+        assert main(["gen", "--config", str(cfg)]) == 0
+        data = work / "out" / "dataset.ddld"
+        # once untraced, so that one-time set-up (imports, caches) is not counted
+        assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 0
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    frame = 2 * 128 * 128 * 8
+    assert abs(peaks[11] - peaks[3]) < frame, peaks
 
 
 def test_eval_auto_window_on_external_dataset_is_config_error(tmp_path, capsys):

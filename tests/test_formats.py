@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -14,6 +15,8 @@ from windec import (
     LearnedStencil,
     Shape,
     WindowSpec,
+    fit_global_linear,
+    fit_stencil,
     generate_dataset,
     read_dataset,
     read_stencil,
@@ -86,13 +89,26 @@ def test_write_dataset_writes_frames_without_a_copy(tmp_path):
         assert payload == b"".join(f.data.tobytes() for f in frames)
 
 
-def test_read_dataset_reads_the_payload_into_one_array(tmp_path):
+@pytest.mark.parametrize("n_frames", [2, 4, 12])
+def test_read_dataset_holds_two_frames_whatever_the_frame_count(tmp_path, n_frames):
+    # every frame is read and checked, one at a time, in the two-frame
+    # workspace the walks reuse; none is kept
+    rng = np.random.default_rng(4)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 128, 128, 1)))
+                   for _ in range(n_frames))
     path = tmp_path / "ds.ddld"
-    write_dataset(path, small_dataset())
-    frames = read_dataset(path).frames
-    base = frames[0].data.base
-    assert base is not None and base.nbytes == sum(f.data.nbytes for f in frames)
-    assert all(f.data.base is base for f in frames)
+    write_dataset(path, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert back.n_steps == n_frames - 1
+    # the workspace, plus the finiteness check's one-byte-per-value mask, the
+    # file's 8 KiB read buffer and a few small objects
+    assert peak < 2.2 * frames[0].data.nbytes
 
 
 def test_dataset_rewrite_is_byte_identical(tmp_path):
@@ -101,6 +117,75 @@ def test_dataset_rewrite_is_byte_identical(tmp_path):
     write_dataset(a, ds)
     write_dataset(b, ds)
     assert a.read_bytes() == b.read_bytes()
+
+
+def three_frame_file(tmp_path, name="ds.ddld", seed=8):
+    rng = np.random.default_rng(seed)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 8, 6, 1))) for _ in range(3))
+    path = tmp_path / name
+    write_dataset(path, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
+    return path, frames
+
+
+def test_dataset_read_from_a_file_rewrites_it_byte_identically(tmp_path):
+    path, _ = three_frame_file(tmp_path)
+    raw = path.read_bytes()
+    write_dataset(path, read_dataset(path))
+    assert path.read_bytes() == raw
+    assert os.listdir(tmp_path) == ["ds.ddld"]  # no temporary file left behind
+
+
+def test_write_failing_partway_through_the_payload_leaves_the_old_file(tmp_path):
+    path = tmp_path / "old.ddld"
+    write_dataset(path, small_dataset())
+    raw = path.read_bytes()
+    source, _ = three_frame_file(tmp_path, "source.ddld")
+    ds = read_dataset(source)
+    os.truncate(source, source.stat().st_size - 8)  # the last frame's read fails
+    with pytest.raises(FormatError):
+        write_dataset(path, ds)
+    assert path.read_bytes() == raw
+    assert sorted(os.listdir(tmp_path)) == ["old.ddld", "source.ddld"]
+
+
+def test_file_renamed_over_a_read_dataset_is_not_read(tmp_path):
+    path, frames = three_frame_file(tmp_path)
+    ds = read_dataset(path)
+    other, _ = three_frame_file(tmp_path, "other.ddld", seed=9)
+    os.replace(other, path)
+    for t, now, after in ds.pairs(range(ds.n_steps)):
+        assert np.array_equal(now, frames[t].data)
+        assert np.array_equal(after, frames[t + 1].data)
+    assert ds.frames[2].equals(frames[2])
+
+
+def test_file_truncated_in_place_after_the_read_is_refused(tmp_path):
+    path, _ = three_frame_file(tmp_path)
+    ds = read_dataset(path)
+    os.truncate(path, path.stat().st_size - 8)
+    with pytest.raises(FormatError):
+        list(ds.pairs(range(ds.n_steps)))
+    with pytest.raises(FormatError):
+        ds.frames[2]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_value_written_into_a_frame_after_the_read_is_refused(tmp_path, value):
+    path, frames = three_frame_file(tmp_path)
+    ds = read_dataset(path)
+    frame_bytes = frames[0].data.nbytes
+    with open(path, "r+b") as fh:
+        fh.seek(-frame_bytes - 8 * 17, os.SEEK_END)  # inside frame 1, in every pair
+        fh.write(struct.pack("<d", value))
+    with pytest.raises(FormatError):
+        list(ds.pairs([1]))
+    with pytest.raises(FormatError):
+        ds.frames[1]
+    # the fits read the frame through a walk: no NaN or Inf reaches them
+    with pytest.raises(FormatError):
+        fit_stencil(ds, WindowSpec((3, 3)), sample_budget=64)
+    with pytest.raises(FormatError):
+        fit_global_linear(ds)
 
 
 def test_dataset_header_matches_documented_layout(tmp_path):

@@ -57,6 +57,7 @@ from .generators import (
     sample_bumps,
     sin_field,
     write_dataset,
+    write_generated,
 )
 from .sizing import (
     SizingReport,

@@ -52,7 +52,7 @@ from .generators import (
     InitialCondition,
     generate_dataset,
     read_dataset,
-    write_dataset,
+    write_generated,
 )
 from .models import (
     DiffusionStencil,
@@ -90,11 +90,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _generate(dc: DatasetConfig) -> Dataset:
+def _request(dc: DatasetConfig) -> tuple:
+    """``(kind, grid, pde, ic, n_steps, seed)``: what :func:`generate_dataset` takes."""
     dc.check_ic()
     pde = GridPde(dx=dc.dx, dt=dc.dt, c=dc.c, nu=dc.nu, alpha=dc.alpha, boundary=dc.boundary)
-    return generate_dataset(dc.kind, Shape(dc.batch, dc.extents, dc.channels), pde, dc.ic,
-                            dc.n_steps, dc.seed)
+    return dc.kind, Shape(dc.batch, dc.extents, dc.channels), pde, dc.ic, dc.n_steps, dc.seed
+
+
+def _generate(dc: DatasetConfig) -> Dataset:
+    return generate_dataset(*_request(dc))
 
 
 def _split_pairs(n_pairs: int, fraction: float, seed: int) -> tuple[list[int], list[int]]:
@@ -104,18 +108,14 @@ def _split_pairs(n_pairs: int, fraction: float, seed: int) -> tuple[list[int], l
     return sorted(int(i) for i in perm[:k]), sorted(int(i) for i in perm[k:])
 
 
-def _probe_line(ds: Dataset) -> np.ndarray:
-    """1D probe along the first spatial axis of frame 0."""
-    idx = (0, slice(None), *(0,) * (ds.grid.ndim - 1), 0)
-    return ds.frames[0].data[idx]
-
-
 def _sizing_report(ds: Dataset) -> SizingReport:
-    u_max = None
-    if ds.kind == "burgers":
-        u_max = float(np.max(np.abs(ds.frames[0].data)))
+    """The window recommendation for ``ds``, probing frame 0 along its first
+    spatial axis; frame 0 is read once."""
+    frame = ds.frame(0)
+    u_max = float(np.max(np.abs(frame))) if ds.kind == "burgers" else None
+    probe = frame[(0, slice(None), *(0,) * (ds.grid.ndim - 1), 0)]
     return recommend_window(
-        ds.pde, kind=GENERATED[ds.kind].char_length, probe=_probe_line(ds), u_max=u_max
+        ds.pde, kind=GENERATED[ds.kind].char_length, probe=probe, u_max=u_max
     )
 
 
@@ -218,16 +218,16 @@ def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
 
 def cmd_gen(args) -> int:
     cfg = _load_effective_config(args)
-    ds = _generate(cfg.dataset)
+    kind, g, pde, _, n_steps, seed = request = _request(cfg.dataset)
     out = _out_dir(args, cfg.out_dir)
     path = out / "dataset.ddld"
-    write_dataset(path, ds)
-    g = ds.grid
+    # each frame goes to the file as it is stepped; none is kept
+    write_generated(path, *request)
     print(f"wrote {path}")
-    print(f"kind={ds.kind} batch={g.batch} extents={list(g.spatial)} "
-          f"channels={g.channels} frames={len(ds.frames)}")
-    print(f"dt={ds.pde.dt!r} dx={ds.pde.dx!r} c={ds.pde.c} nu={ds.pde.nu!r} "
-          f"alpha={ds.pde.alpha!r} boundary={ds.pde.boundary} seed={ds.seed}")
+    print(f"kind={kind} batch={g.batch} extents={list(g.spatial)} "
+          f"channels={g.channels} frames={n_steps + 1}")
+    print(f"dt={pde.dt!r} dx={pde.dx!r} c={pde.c} nu={pde.nu!r} "
+          f"alpha={pde.alpha!r} boundary={pde.boundary} seed={seed}")
     return 0
 
 

@@ -18,13 +18,14 @@ from .errors import ConfigError, WindecError
 from .generators import IC_PARAMETER, InitialCondition, check_ic, check_request
 
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
-# Most float64 values a generated dataset may hold over all its frames (gen,
-# and eval or sweep without --data, hold them all; eval --data reads a file
-# two frames at a time, so this does not bound the file), and the most window
-# values a stencil fit may gather (all of which a fit with fewer samples than
-# features holds at once): 16 GiB, far above every config in the tests,
-# scripts and benchmark, so that a config slip fails before the work instead
-# of partway through it.
+# Most float64 values a generated dataset may hold over all its frames (eval
+# and sweep without --data hold them all in memory; gen holds two frames at a
+# time but writes them all, so this caps the file; eval --data reads a file
+# one or two frames at a time, so this does not bound a file it is given),
+# and the most window values a stencil fit may gather (all of which a fit
+# with fewer samples than features holds at once): 16 GiB, far above every
+# config in the tests, scripts and benchmark, so that a config slip fails
+# before the work instead of partway through it.
 MAX_DATASET_VALUES = 1 << 31
 
 

@@ -128,8 +128,9 @@ class Dataset:
     ``frames`` is a tuple of :class:`BatchTensor` for a dataset built in
     memory.  :func:`read_dataset` gives a file-backed sequence instead, whose
     ``frames[t]`` reads frame t from the file afresh, checked as the reader
-    checked it.  :meth:`pairs` is the walk over frame pairs that fitting and
-    evaluation take, holding at most two frames of a file at a time.
+    checked it.  :meth:`frame` reads one frame and :meth:`pairs` walks frame
+    pairs; fitting and evaluation take these, which hold one and two frames
+    of a file, in buffers the dataset keeps.
     """
 
     kind: str
@@ -162,22 +163,38 @@ class Dataset:
     def n_steps(self) -> int:
         return len(self.frames) - 1
 
+    def frame(self, t: int) -> np.ndarray:
+        """Frame t as a read-only array.
+
+        In memory it is the frame's own array.  From a file it is read into
+        a one-frame buffer, allocated once per dataset, and stays valid until
+        the dataset's next one-frame read or walk; a read made while a walk
+        is running gets a buffer of its own.  Raises :class:`DomainError` for a frame
+        index outside ``[0, n_steps]``.
+        """
+        t = _index(t, len(self.frames), "frame")
+        if isinstance(self.frames, _FrameFile):
+            return self.frames.frame(t)
+        return self.frames[t].data
+
     def pairs(self, indices: Iterable[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Walk ``(t, frame t, frame t + 1)`` for each pair index t of ``indices``.
 
         The frames are read-only arrays, valid until the next step.  In memory
         they are the frames' own arrays.  From a file, frame f is read into
-        slot f % 2 of a two-frame workspace unless that slot holds it already,
-        so over sorted indices each frame is read at most once per walk; the
-        workspace is allocated once per dataset, and a walk started while
-        another is running gets buffers of its own.  Raises
-        :class:`DomainError` for an index outside ``[0, n_steps)``.
+        slot f % 2 of two one-frame buffers unless that slot holds it already,
+        so over sorted indices each frame is read at most once per walk.
+        Slot 0 is the buffer :meth:`frame` reads into, and slot 1 is
+        allocated at the first walk, so a dataset that is only read one
+        frame at a time never holds two.  A walk started while another is
+        running gets buffers of its own.  Raises :class:`DomainError` for an
+        index outside ``[0, n_steps)``.
         """
         if isinstance(self.frames, _FrameFile):
             return self.frames.pairs(indices)
         frames, n_pairs = self.frames, self.n_steps
         return ((t, frames[t].data, frames[t + 1].data)
-                for t in (_pair_index(i, n_pairs) for i in indices))
+                for t in (_index(i, n_pairs, "pair") for i in indices))
 
     def equals(self, other: "Dataset") -> bool:
         return (
@@ -190,10 +207,10 @@ class Dataset:
         )
 
 
-def _pair_index(t, n_pairs: int) -> int:
+def _index(t, n: int, what: str) -> int:
     t = operator.index(t)
-    if not 0 <= t < n_pairs:
-        raise DomainError(f"pair index {t} out of range [0, {n_pairs})")
+    if not 0 <= t < n:
+        raise DomainError(f"{what} index {t} out of range [0, {n})")
     return t
 
 
@@ -487,6 +504,41 @@ def check_ic(ic: InitialCondition) -> None:
         raise DomainError(f"ic.{name}: missing required field for kind {ic.kind!r}")
 
 
+def _generated(
+    kind: str, grid: Shape, pde: GridPde, ic: InitialCondition, n_steps: int, seed: int
+) -> tuple[dict[str, str], Iterator[BatchTensor]]:
+    """Check a request and return its dataset's meta and its frames u^0..u^T.
+
+    The frames come one at a time, each made when it is drawn, so the
+    iterator holds at most u^0 and the latest frame, never the sequence.
+    """
+    check_request(kind, grid.ndim, grid.channels, pde.boundary, vars(pde))
+    check_ic(ic)
+    if n_steps < 0:
+        raise DomainError("n_steps must be >= 0")
+    meta = {"ic": ic.kind}
+    if ic.freq is not None:
+        meta["ic_freq"] = repr(float(ic.freq))
+    if ic.bandwidth is not None:
+        meta["ic_bandwidth"] = repr(float(ic.bandwidth))
+    return meta, _stepped_frames(kind, _initial_field(ic, grid, pde, seed), pde, n_steps)
+
+
+def _stepped_frames(kind: str, u: BatchTensor, pde: GridPde,
+                    n_steps: int) -> Iterator[BatchTensor]:
+    """Frames u^0..u^T from u = u^0: advection shifts u^0 itself to each time,
+    the other kinds step the frame before."""
+    if kind == "advection":
+        for t in range(n_steps + 1):
+            yield advect_exact(u, pde, t * pde.dt)
+        return
+    step = burgers_step if kind == "burgers" else heat_step
+    yield u
+    for _ in range(n_steps):
+        u = step(u, pde)
+        yield u
+
+
 def generate_dataset(
     kind: str,
     grid: Shape,
@@ -496,24 +548,28 @@ def generate_dataset(
     seed: int,
 ) -> Dataset:
     """Produce frames u^0..u^T with the stepper selected by ``kind``."""
-    check_request(kind, grid.ndim, grid.channels, pde.boundary, vars(pde))
-    check_ic(ic)
-    if n_steps < 0:
-        raise DomainError("n_steps must be >= 0")
-    u0 = _initial_field(ic, grid, pde, seed)
-    if kind == "advection":
-        frames = [advect_exact(u0, pde, t * pde.dt) for t in range(n_steps + 1)]
-    else:
-        step = burgers_step if kind == "burgers" else heat_step
-        frames = [u0]
-        for _ in range(n_steps):
-            frames.append(step(frames[-1], pde))
-    meta = {"ic": ic.kind}
-    if ic.freq is not None:
-        meta["ic_freq"] = repr(float(ic.freq))
-    if ic.bandwidth is not None:
-        meta["ic_bandwidth"] = repr(float(ic.bandwidth))
+    meta, frames = _generated(kind, grid, pde, ic, n_steps, seed)
     return Dataset(kind, tuple(frames), pde, seed, meta)
+
+
+def write_generated(
+    path,
+    kind: str,
+    grid: Shape,
+    pde: GridPde,
+    ic: InitialCondition,
+    n_steps: int,
+    seed: int,
+) -> None:
+    """Write ``generate_dataset(kind, grid, pde, ic, n_steps, seed)`` to ``path``.
+
+    The file is :func:`write_dataset`'s, byte for byte, but each frame is
+    written as soon as it is made, so the call holds two frames (u^0 or the
+    frame being stepped, and the new one) and one step's scratch instead of
+    every frame.  A step that fails leaves ``path`` as it was.
+    """
+    meta, frames = _generated(kind, grid, pde, ic, n_steps, seed)
+    _write_container(path, kind, grid, pde, seed, meta, n_steps, frames)
 
 
 # --- binary container -------------------------------------------------------
@@ -573,8 +629,9 @@ class _FrameFile(abc.Sequence):
         weakref.finalize(self, fh.close)
         self._offset = fh.tell()
         self._count = count
-        # the walks' two frames, also the buffer read_dataset checks frames in
-        self._workspace = np.empty((2, *grid.dims), dtype="<f8")
+        # slot 0 takes the checks and one-frame reads; slot 1, which only
+        # the walks need, is allocated at the first walk
+        self._slots = [np.empty(grid.dims, dtype="<f8")]
         self._walking = False
 
     def __len__(self) -> int:
@@ -603,29 +660,42 @@ class _FrameFile(abc.Sequence):
             raise FormatError(f"frame {t} holds NaN or Inf")
 
     def check_all(self) -> None:
-        """Read and check every frame, one at a time, in the workspace."""
+        """Read and check every frame, one at a time, in slot 0."""
         for t in range(self._count):
-            self._read(t, self._workspace[0])
+            self._read(t, self._slots[0])
+
+    def frame(self, t: int) -> np.ndarray:
+        """:meth:`Dataset.frame` of a file: frame t is read into slot 0."""
+        out = np.empty_like(self._slots[0]) if self._walking else self._slots[0]
+        self._read(t, out)
+        return _read_only(out)
 
     def pairs(self, indices: Iterable[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """:meth:`Dataset.pairs` of a file: frame f is read into slot f % 2."""
         shared = not self._walking
-        workspace = self._workspace if shared else np.empty_like(self._workspace)
+        if shared and len(self._slots) == 1:
+            self._slots.append(np.empty_like(self._slots[0]))
+        slots = self._slots if shared else [np.empty_like(self._slots[0]) for _ in range(2)]
         self._walking = True
         try:
-            frames = workspace.view()
-            frames.flags.writeable = False
+            frames = [_read_only(s) for s in slots]
             held = [None, None]
             for t in indices:
-                t = _pair_index(t, self._count - 1)
+                t = _index(t, self._count - 1, "pair")
                 for f in (t, t + 1):
                     if held[f % 2] != f:
-                        self._read(f, workspace[f % 2])
+                        self._read(f, slots[f % 2])
                         held[f % 2] = f
                 yield t, frames[t % 2], frames[(t + 1) % 2]
         finally:
             if shared:
                 self._walking = False
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def write_dataset(path, ds: Dataset) -> None:
@@ -635,14 +705,20 @@ def write_dataset(path, ds: Dataset) -> None:
     over it once complete, so a failed write leaves ``path`` as it was, and
     a dataset read from ``path`` can be written back to it.
     """
-    grid = ds.grid
+    _write_container(path, ds.kind, ds.grid, ds.pde, ds.seed, ds.meta, ds.n_steps, ds.frames)
+
+
+def _write_container(path, kind: str, grid: Shape, pde: GridPde, seed: int,
+                     meta: Mapping[str, str], n_steps: int,
+                     frames: Iterable[BatchTensor]) -> None:
+    """Write the header and then each of the ``n_steps + 1`` frames as drawn."""
     d = grid.ndim
-    c = ds.pde.c if ds.pde.c is not None else (0.0,) * d
+    c = pde.c if pde.c is not None else (0.0,) * d
     if len(c) != d:
         raise FormatError(f"c has {len(c)} components for a rank-{d} grid")
-    meta = dict(ds.meta)
-    meta["boundary"] = ds.pde.boundary
-    if ds.pde.c is None:
+    meta = dict(meta)
+    meta["boundary"] = pde.boundary
+    if pde.c is None:
         meta["c"] = "unset"
     meta_bytes = "\n".join(f"{k}={v}" for k, v in sorted(meta.items())).encode("utf-8")
     path = Path(path)
@@ -651,16 +727,17 @@ def write_dataset(path, ds: Dataset) -> None:
         # "x": a new file, with the mode open(path, "wb") would give it
         with open(tmp, "xb") as fh:
             fh.write(struct.pack("<4sIBBH", DATASET_MAGIC, DATASET_VERSION,
-                                 _KIND_CODES[ds.kind], d, 0))
+                                 _KIND_CODES[kind], d, 0))
             fh.write(struct.pack(f"<{d + 3}I", grid.batch, *grid.spatial, grid.channels,
-                                 ds.n_steps))
-            fh.write(struct.pack(f"<2d{d}d2dQ", ds.pde.dt, ds.pde.dx, *c,
-                                 ds.pde.nu, ds.pde.alpha, ds.seed))
+                                 n_steps))
+            fh.write(struct.pack(f"<2d{d}d2dQ", pde.dt, pde.dx, *c,
+                                 pde.nu, pde.alpha, seed))
             fh.write(struct.pack("<I", len(meta_bytes)))
             fh.write(meta_bytes)
-            for frame in ds.frames:
+            for frame in frames:
                 # little-endian as declared, and no copy on a little-endian host
                 fh.write(frame.data.astype("<f8", copy=False))
+                del frame  # before the next one is drawn
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -673,9 +750,9 @@ def read_dataset(path) -> Dataset:
     A file that does not decode to a valid dataset, one holding a NaN or
     Inf included, raises :class:`FormatError`.  Every frame is read and
     checked here, one at a time, but none is kept: the dataset's frames are
-    read from the file again when they are used (see :meth:`Dataset.pairs`),
-    each read checked the same way, so a read holds two frames however many
-    the file has.
+    read from the file again when they are used (see :meth:`Dataset.frame`
+    and :meth:`Dataset.pairs`), each read checked the same way, so reading
+    holds one frame, and a walk two, however many the file has.
     """
     fh = open(path, "rb")
     try:

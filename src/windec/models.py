@@ -502,8 +502,11 @@ def _sample_blocks(
     ``rows`` of one frame pair, their windows ``x`` as fresh
     ``rows.size x prod(W_i)*N_c`` rows, and their next center values ``y``.
     A block holds at most ``TILE_BYTES`` of windows, or ``min_rows`` windows
-    where those take more.  The frames come from one :meth:`Dataset.pairs`
-    walk, and every block is a copy, so none outlives the walk's step.
+    where those take more.  The frames are read one at a time with
+    :meth:`Dataset.frame`: for each frame pair t, frame t + 1 gives the
+    next center values of all its samples, then frame t their windows, so
+    a fit holds one frame of a file.  Every block is a copy, so none
+    depends on a frame buffer the next read reuses.
     """
     pairs = _training_pairs(ds, pair_indices)
     if w.ndim != ds.grid.ndim:
@@ -529,16 +532,17 @@ def _sample_blocks(
     step = max(min_rows, windowing.TILE_BYTES // (n_features * 8))
 
     def blocks():
-        for t, now, after in ds.pairs(np.unique(ts)):
+        for t in np.unique(ts):
             take = np.flatnonzero(ts == t)
-            windows = window_view(now, w.sizes)
+            y = ds.frame(t + 1)[(bs[take], *cells[take].T)]
+            windows = window_view(ds.frame(t), w.sizes)
             for i in range(0, take.size, step):
                 rows = take[i:i + step]
                 # the window of center c starts at c - r; no block is kept
                 # here while the next one is gathered
                 yield (rows,
                        windows[(bs[rows], *(cells[rows] - radius).T)].reshape(-1, n_features),
-                       after[(bs[rows], *cells[rows].T)])
+                       y[i:i + step])
     return blocks()
 
 

@@ -24,7 +24,7 @@ from windec import (
     sin_field,
     write_dataset,
 )
-from windec import cli
+from windec import StabilityError, cli, generators
 from windec.cli import build_parser, main
 from windec.config import DatasetConfig, ExperimentConfig, PredictorConfig, load_config
 
@@ -86,6 +86,82 @@ def test_gen_writes_dataset_and_is_deterministic(tmp_path, capsys):
 
     assert main(["gen", "--config", str(cfg)]) == 0
     assert (tmp_path / "out" / "dataset.ddld").read_bytes() == first
+
+
+# one gen case per stepper and boundary: (dataset overrides, the stepper's name
+# in windec.generators); frames of 2 x 128^2 values, 256 KiB
+GEN_CASES = {
+    "advection": ({"extents": [128, 128], "dx": 1 / 128, "c": [1 / 128, 0.0]}, "advect_exact"),
+    **{f"heat-{b}": ({"kind": "heat", "extents": [128, 128], "dx": 1 / 128, "dt": 1e-6,
+                      "c": None, "alpha": 1.0, "boundary": b}, "heat_step")
+       for b in ("periodic", "zero-extension", "insulated")},
+    "burgers": ({"kind": "burgers", "batch": 1, "extents": [128, 128], "channels": 2,
+                 "dx": 1 / 128, "dt": 1e-3, "c": None, "nu": 1e-3}, "burgers_step"),
+}
+
+
+def gen_config(tmp_path, case, n_steps, name="config.json"):
+    return write_config(tmp_path, {"dataset": {**GEN_CASES[case][0], "n_steps": n_steps}},
+                        name=name)
+
+
+def traced_peak(call) -> int:
+    call()  # once untraced, so that one-time set-up (imports, caches) is not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_gen_holds_two_frames_whatever_the_step_count(tmp_path, case, capsys):
+    # gen writes each frame as it is stepped: it holds u^0 or the frame being
+    # stepped and the new one, as a one-step dataset does, never the sequence
+    frame = 2 * 128 * 128 * 8
+    dc = load_config(gen_config(tmp_path, case, 1)).dataset
+    one_step = traced_peak(lambda: cli._generate(dc))
+    peaks = {}
+    for n_steps in (2, 12):
+        cfg = gen_config(tmp_path, case, n_steps, name=f"{n_steps}.json")
+        peaks[n_steps] = traced_peak(lambda: main(["gen", "--config", str(cfg)]))
+    capsys.readouterr()
+    assert abs(peaks[12] - peaks[2]) < 0.5 * frame, peaks
+    # a third frame of slack above the two frames and the scratch of one step
+    assert max(peaks.values()) < one_step + frame, (one_step, peaks)
+
+
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_gen_writes_what_write_dataset_writes(tmp_path, case, capsys):
+    cfg = gen_config(tmp_path, case, 5)
+    assert main(["gen", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    want = tmp_path / "want.ddld"
+    write_dataset(want, cli._generate(load_config(cfg).dataset))
+    assert (tmp_path / "out" / "dataset.ddld").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_gen_stepper_failing_partway_leaves_the_old_file(tmp_path, monkeypatch, case, capsys):
+    assert main(["gen", "--config", str(gen_config(tmp_path, case, 2, name="old.json"))]) == 0
+    old = (tmp_path / "out" / "dataset.ddld").read_bytes()
+    stepper = getattr(generators, GEN_CASES[case][1])
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise StabilityError("step failed")
+        return stepper(*args)
+
+    monkeypatch.setattr(generators, GEN_CASES[case][1], failing)
+    assert main(["gen", "--config", str(gen_config(tmp_path, case, 5))]) == 2
+    assert "step failed" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert (tmp_path / "out" / "dataset.ddld").read_bytes() == old
+    assert os.listdir(tmp_path / "out") == ["dataset.ddld"]  # no temporary file left
 
 
 # --- eval --------------------------------------------------------------------
@@ -163,6 +239,23 @@ def test_eval_auto_window_and_data_file(tmp_path):
     record = json.loads((tmp_path / "out" / "run.json").read_text())
     w = record["window"]
     assert len(w) == 2 and all(v >= 3 and v % 2 == 1 for v in w)
+
+
+@pytest.mark.parametrize("case", ["advection", "burgers"])
+def test_auto_window_on_a_file_reads_frame_0_once(tmp_path, monkeypatch, case, capsys):
+    # the probe line and, for burgers, the largest speed come from one read
+    # of frame 0 into the dataset's buffer
+    cfg = gen_config(tmp_path, case, 3)
+    assert main(["gen", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    ds = read_dataset(tmp_path / "out" / "dataset.ddld")
+    reads = []
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: reads.append(offset)
+                        or preadv(fd, buffers, offset))
+    report = cli._sizing_report(ds)
+    assert len(reads) == 1
+    assert report == cli._sizing_report(cli._generate(load_config(cfg).dataset))
 
 
 def test_eval_data_peak_does_not_grow_with_the_frame_count(tmp_path):

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from windec import (
     BatchTensor,
     Dataset,
+    DomainError,
     FormatError,
     GridPde,
     InitialCondition,
     LearnedStencil,
+    RankError,
     Shape,
     WindowSpec,
     fit_global_linear,
@@ -21,6 +23,7 @@ from windec import (
     read_dataset,
     read_stencil,
     write_dataset,
+    write_generated,
     write_stencil,
 )
 
@@ -90,9 +93,10 @@ def test_write_dataset_writes_frames_without_a_copy(tmp_path):
 
 
 @pytest.mark.parametrize("n_frames", [2, 4, 12])
-def test_read_dataset_holds_two_frames_whatever_the_frame_count(tmp_path, n_frames):
-    # every frame is read and checked, one at a time, in the two-frame
-    # workspace the walks reuse; none is kept
+def test_read_dataset_holds_one_frame_whatever_the_frame_count(tmp_path, n_frames):
+    # every frame is read and checked, one at a time, in the one-frame
+    # buffer that later reads reuse; none is kept, and the walks' second
+    # buffer is not allocated yet
     rng = np.random.default_rng(4)
     frames = tuple(BatchTensor(rng.standard_normal((2, 128, 128, 1)))
                    for _ in range(n_frames))
@@ -106,9 +110,9 @@ def test_read_dataset_holds_two_frames_whatever_the_frame_count(tmp_path, n_fram
     finally:
         tracemalloc.stop()
     assert back.n_steps == n_frames - 1
-    # the workspace, plus the finiteness check's one-byte-per-value mask, the
+    # the buffer, plus the finiteness check's one-byte-per-value mask, the
     # file's 8 KiB read buffer and a few small objects
-    assert peak < 2.2 * frames[0].data.nbytes
+    assert peak < 1.2 * frames[0].data.nbytes
 
 
 def test_dataset_rewrite_is_byte_identical(tmp_path):
@@ -117,6 +121,17 @@ def test_dataset_rewrite_is_byte_identical(tmp_path):
     write_dataset(a, ds)
     write_dataset(b, ds)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind, grid, ic", [
+    ("heat", Shape(1, (5,), 1), InitialCondition("sine", freq=1.0)),  # 1-D
+    ("advection", Shape(1, (2, 3), 1), InitialCondition("bumps", n_bumps=2)),  # no c
+    ("heat", Shape(1, (4, 5, 6), 1), InitialCondition("harmonics")),  # no bandwidth
+])
+def test_write_generated_refuses_a_request_before_it_writes(tmp_path, kind, grid, ic):
+    with pytest.raises((RankError, DomainError)):
+        write_generated(tmp_path / "ds.ddld", kind, grid, GridPde(dx=0.5, dt=0.1), ic, 3, 0)
+    assert os.listdir(tmp_path) == []
 
 
 def three_frame_file(tmp_path, name="ds.ddld", seed=8):

@@ -32,8 +32,10 @@ from windec import (
     metrics_record,
     paper_l2,
     r2,
+    read_dataset,
     rel_l2,
     sample_training_pairs,
+    write_dataset,
 )
 from windec import models, windowing
 from windec.models import _solve_ridge
@@ -549,6 +551,52 @@ def test_fit_stencil_memory_does_not_scale_with_sample_budget(dims, sizes):
     assert peaks[4096] < bound and peaks[16384] < bound
     # the 12288 extra samples' rows alone would take 12288 * p * 8 bytes
     assert peaks[16384] - peaks[4096] < 12288 * p * 8 / 20
+
+
+@pytest.mark.parametrize("dims, sizes, budget, pair_indices", [
+    ((2, 16, 15, 2), (3, 5), 900, None),  # streamed: 900 samples for 30 features
+    ((2, 16, 15, 2), (3, 5), 20, [1, 3, 4]),  # sample space: 20 for 30
+    ((1, 9, 8, 7, 1), (3, 3, 3), 400, [0, 2, 4]),
+    ((3, 40, 1), (5,), 64, [4]),
+])
+def test_fit_stencil_on_a_file_equals_the_fit_in_memory(tmp_path, dims, sizes, budget,
+                                                        pair_indices):
+    # the file-backed fit reads one frame at a time into the dataset's
+    # buffer; it draws and gathers the same samples as the in-memory fit
+    rng = np.random.default_rng(26)
+    frames = tuple(BatchTensor(rng.standard_normal(dims)) for _ in range(6))
+    ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, ds)
+    w = WindowSpec(sizes)
+    want = fit_stencil(ds, w, sample_budget=budget, seed=7, pair_indices=pair_indices)
+    got = fit_stencil(read_dataset(path), w, sample_budget=budget, seed=7,
+                      pair_indices=pair_indices)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.bias, want.bias)
+
+
+@pytest.mark.parametrize("sizes", [(9, 9), (17, 17)])
+def test_fit_stencil_on_a_file_holds_one_frame(tmp_path, sizes):
+    # reading the file and fitting on it holds the frame buffer the reads
+    # share, the two p x p arrays and one block of windows: never two frames
+    rng = np.random.default_rng(27)
+    frames = tuple(BatchTensor(rng.standard_normal((2, 256, 256, 1))) for _ in range(5))
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
+    w = WindowSpec(sizes)
+    fit_stencil(read_dataset(path), w, sample_budget=4096, pair_indices=[0, 2, 3])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_stencil(read_dataset(path), w, sample_budget=4096, pair_indices=[0, 2, 3])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    frame, p = frames[0].data.nbytes, w.cells
+    # the margin takes the index draws, the finiteness check's mask and the
+    # 8 KiB read buffer; a second frame would not fit in it
+    assert peak < frame + 2 * p * p * 8 + windowing.TILE_BYTES + 0.5 * frame
 
 
 @pytest.mark.parametrize("lam", [1e-8, 0.1])

@@ -1,4 +1,5 @@
-"""``Dataset.pairs``, the walk over frame pairs, on in-memory and file-backed datasets."""
+"""``Dataset.pairs``, the walk over frame pairs, and ``Dataset.frame``, the one-frame
+read, on in-memory and file-backed datasets."""
 
 import os
 import tracemalloc
@@ -108,3 +109,67 @@ def test_file_frames_are_fresh_reads(tmp_path):
     assert ds.frames[-1].equals(frames[2])
     with pytest.raises(IndexError):
         ds.frames[3]
+
+
+@pytest.mark.parametrize("source", ["memory", "file"])
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+def test_frame_reads_each_frame(tmp_path, dims, source):
+    frames = make_frames(dims)
+    ds = make_dataset(tmp_path, frames, source)
+    for t in (0, 3, 7, 2, 2):
+        now = ds.frame(t)
+        assert not now.flags.writeable
+        assert np.array_equal(now, frames[t].data)
+
+
+@pytest.mark.parametrize("source", ["memory", "file"])
+@pytest.mark.parametrize("t", [-1, 8])
+def test_frame_refuses_an_index_outside_the_dataset(tmp_path, source, t):
+    ds = make_dataset(tmp_path, make_frames((1, 4, 1)), source)
+    with pytest.raises(DomainError):
+        ds.frame(t)
+
+
+def test_file_frame_reads_share_one_buffer_with_the_walks(tmp_path):
+    frames = make_frames((2, 6, 5, 1))
+    ds = make_dataset(tmp_path, frames, "file")
+    first, second = ds.frame(1), ds.frame(2)
+    assert np.shares_memory(first, second)
+    assert np.array_equal(second, frames[2].data)
+    [(_, now, after)] = ds.pairs([4])  # frame 4 goes to slot 0, frame 5 to slot 1
+    assert np.shares_memory(now, first) and not np.shares_memory(after, first)
+
+
+@pytest.mark.parametrize("source", ["memory", "file"])
+def test_frame_read_during_a_walk_never_aliases_it(tmp_path, source):
+    frames = make_frames((2, 6, 5, 1))
+    ds = make_dataset(tmp_path, frames, source)
+    walk = ds.pairs([0, 1, 2])
+    t, now, after = next(walk)
+    read = ds.frame(5)
+    assert not np.shares_memory(read, now) and not np.shares_memory(read, after)
+    assert np.array_equal(read, frames[5].data)
+    assert np.array_equal(now, frames[0].data) and np.array_equal(after, frames[1].data)
+    assert [t for t, now, _ in walk if np.array_equal(now, frames[t].data)] == [1, 2]
+
+
+def test_one_frame_reads_hold_one_frame_until_the_first_walk(tmp_path):
+    # the walks' second buffer is allocated at the first walk, not before
+    frames = make_frames((2, 128, 128, 1), n=12)
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
+    frame = frames[0].data.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = read_dataset(path)
+        for t in range(len(frames)):
+            ds.frame(t)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+        for _ in ds.pairs([0]):
+            pass
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert read_peak < 1.2 * frame
+    assert 2 * frame <= held < 2.2 * frame

@@ -1,13 +1,14 @@
 """Window decomposition for local next-step prediction on grid PDE data.
 
-Prediction predicts each cell from exactly its local neighborhood, the grid
-zero-extended by the window radius: tile by tile, the tile's cells plus that
-halo are filled into a slab buffer, and every window-to-center predictor
-reads its windows in place from one strided view of the slab.
-``expand_domain``, ``chunk_domain``, ``window_patch`` and ``window_offsets``
-define the window decomposition this computes; the acceptance gate checks
-them.  Companion modules supply PDE data generators, window-size selection
-rules, stencil predictors, and evaluation metrics.
+Prediction (:mod:`windec.windowing`) predicts each cell from exactly its
+local neighborhood, the grid zero-extended by the window radius: tile by
+tile, the tile's cells plus that halo are filled into a slab buffer, and
+every window-to-center predictor reads its windows in place from one
+strided view of the slab.  :mod:`windec.decomposition` defines the window
+decomposition this computes (``expand_domain``, ``chunk_domain``,
+``window_patch``, ``window_offsets``); the acceptance gate checks it, and
+prediction does not call it.  Companion modules supply PDE data generators,
+window-size selection rules, stencil predictors, and evaluation metrics.
 """
 
 __version__ = "0.1.0"
@@ -24,20 +25,18 @@ from .errors import (
     RankError,
     ShapeMismatchError,
     SingularSystem,
-    SliceBoundsError,
     StabilityError,
     UnsupportedBoundary,
     WindecError,
     WindowTooLarge,
     WindowTooSmall,
 )
-from .tensor import BatchTensor, Shape, pad_zeros
-from .windowing import (
+from .tensor import BatchTensor, Shape
+from .windowing import WindowSpec, integrate_predictions
+from .decomposition import (
     ExpansionRecord,
-    WindowSpec,
     chunk_domain,
     expand_domain,
-    integrate_predictions,
     receptive_field_probe,
     window_offsets,
     window_patch,

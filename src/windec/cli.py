@@ -65,13 +65,8 @@ from .models import (
 )
 from .sizing import SizingReport, recommend_window
 from .tensor import BatchTensor, Shape
-from .windowing import (
-    WindowSpec,
-    _predicted_tiles,
-    chunk_domain,
-    receptive_field_probe,
-    window_patch,
-)
+from .decomposition import chunk_domain, receptive_field_probe, window_patch
+from .windowing import WindowSpec, _predicted_tiles
 
 # A frame's prediction as ``(tile, centers)`` parts: ``centers`` predicts the
 # cells ``frame.data[tile]``, and is valid until the next part is drawn.

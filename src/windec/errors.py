@@ -25,10 +25,6 @@ class DivisibilityError(WindecError):
     """An axis extent is not divisible into the requested number of parts."""
 
 
-class SliceBoundsError(WindecError):
-    """A slice or index falls outside the tensor extents."""
-
-
 class DomainError(WindecError):
     """A scalar argument lies outside its mathematical domain."""
 

@@ -419,7 +419,7 @@ def heat_step(field_t: BatchTensor, pde: GridPde) -> BatchTensor:
     total = pde.alpha * pde.dt / pde.dx**2
     n_sub = _substeps(total, 1.0 / (2 * d))
     lam = total / n_sub
-    a = field_t.data.copy()
+    a = field_t.data
     for _ in range(n_sub):
         a = a + lam * (_neighbor_sum(a, d, pde.boundary) - 2 * d * a)
     return BatchTensor(np.ascontiguousarray(a))
@@ -442,7 +442,7 @@ def burgers_step(u: BatchTensor, pde: GridPde) -> BatchTensor:
     n_sub = _substeps(2 * vmax * pde.dt / pde.dx + 4 * pde.nu * pde.dt / pde.dx**2, 1.0)
     dt = pde.dt / n_sub
     dx = pde.dx
-    a = u.data.copy()
+    a = u.data
     for _ in range(n_sub):
         # both components at once; the speed along spatial axis i is component i
         conv = np.zeros_like(a)

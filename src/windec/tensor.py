@@ -4,10 +4,9 @@ A :class:`BatchTensor` holds a batch of structured grid fields in one
 contiguous float64 buffer laid out row-major with the batch axis slowest and
 the channel axis fastest, i.e. element ``(b, i_1..i_d, c)`` lives at flat
 index ``((..(b*N_1 + i_1)*N_2 + i_2 ..)*N_c + c)``.  The buffer is read-only,
-so tensors can be shared without defensive copies.  ``pad_zeros`` builds a
-fresh tensor and never mutates its input; ``expand_domain`` pads with it.
-Prediction pads nothing whole: it zero-extends one tile at a time into a
-slab buffer and reads the windows through a strided view of that (see
+so tensors can be shared without defensive copies.  Prediction pads
+nothing whole: it zero-extends one tile at a time into a slab buffer and
+reads the windows through a strided view of that (see
 :mod:`windec.windowing`).
 """
 
@@ -15,11 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import DomainError, RankError, ShapeMismatchError
+from .errors import RankError, ShapeMismatchError
 
 MAX_SPATIAL_RANK = 3
 
@@ -115,23 +112,3 @@ class BatchTensor:
     def equals(self, other: "BatchTensor") -> bool:
         """Bit-exact equality of extents and buffer contents."""
         return self.dims == other.dims and np.array_equal(self.data, other.data)
-
-
-def pad_zeros(
-    t: BatchTensor, before: Sequence[int], after: Sequence[int]
-) -> BatchTensor:
-    """Grow each spatial extent by before+after cells of exact zeros.
-
-    Batch and channel axes are never padded; original values keep their
-    relative order at the given per-dimension offsets.
-    """
-    d = t.ndim
-    before = tuple(int(n) for n in before)
-    after = tuple(int(n) for n in after)
-    if len(before) != d or len(after) != d:
-        raise RankError(f"padding counts must have rank {d}")
-    if min(before) < 0 or min(after) < 0:
-        raise DomainError(f"padding counts must be non-negative: {before}, {after}")
-    widths = ((0, 0), *zip(before, after), (0, 0))
-    return BatchTensor(np.pad(t.data, widths))
-

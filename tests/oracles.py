@@ -10,7 +10,8 @@ place of the normal equations, or normal equations summed over explicitly
 listed blocks of samples.  The copy-based ``split``, ``stack`` and
 ``slice_region`` primitives that the per-offset sweep is built from live
 here too, as does the unit ``impulse``; the library's prediction path does
-not use them.
+not use them.  An axis, slice or index outside a tensor's extents raises
+``ShapeMismatchError``, as a shape the library cannot use does.
 """
 
 import math
@@ -24,7 +25,6 @@ from windec import (
     DivisibilityError,
     RankError,
     ShapeMismatchError,
-    SliceBoundsError,
     expand_domain,
 )
 from windec.windowing import _tiles, window_view
@@ -164,7 +164,7 @@ def expansion_formula(n, w):
 
 def _check_axis(t, axis):
     if not 0 <= axis < t.data.ndim:
-        raise SliceBoundsError(f"axis {axis} out of range for rank-{t.data.ndim} tensor")
+        raise ShapeMismatchError(f"axis {axis} out of range for rank-{t.data.ndim} tensor")
 
 
 def split(t, parts, axis):
@@ -208,7 +208,7 @@ def slice_region(t, start, extent):
         raise RankError(f"slice bounds must have rank {d}")
     for i, (s, n, full) in enumerate(zip(start, extent, t.spatial)):
         if s < 0 or n < 1 or s + n > full:
-            raise SliceBoundsError(
+            raise ShapeMismatchError(
                 f"spatial dim {i}: slice [{s}, {s + n}) outside extent {full}"
             )
     idx = (slice(None), *(slice(s, s + n) for s, n in zip(start, extent)), slice(None))
@@ -223,7 +223,7 @@ def impulse(shape, pos):
         raise RankError(f"position must have rank {shape.ndim}")
     for i, (p, full) in enumerate(zip(pos, shape.spatial)):
         if not 0 <= p < full:
-            raise SliceBoundsError(f"spatial dim {i}: index {p} outside extent {full}")
+            raise ShapeMismatchError(f"spatial dim {i}: index {p} outside extent {full}")
     a = np.zeros(shape.dims)
     a[(0, *pos, 0)] = 1.0
     return BatchTensor(a)

@@ -1,8 +1,9 @@
 """The declared dependencies and Python floor in pyproject.toml hold.
 
 Every third-party module the tests import is declared, no source file uses
-syntax newer than ``requires-python``, and every strided view the library
-takes is read-only.
+syntax newer than ``requires-python``, every strided view the library takes
+is read-only, and only the command line and the package import the window
+decomposition that the acceptance gate checks.
 """
 
 import ast
@@ -115,3 +116,41 @@ def test_library_takes_only_read_only_strided_views():
     found = [f"{p.relative_to(ROOT)}:{line}" for p in paths
              for line in _writable_strided_views(p.read_text(encoding="utf-8"))]
     assert not found, f"as_strided without writeable=False: {found}"
+
+
+def _windec_modules_imported(source: str) -> set[str]:
+    """The ``windec`` submodules a source file inside ``src/windec`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("windec."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "windec":
+                    continue
+                parts = parts[1:]
+            found.update(parts[:1] if parts and parts[0] else (a.name for a in node.names))
+    return found
+
+
+def test_only_cli_and_the_package_import_the_decomposition():
+    # prediction computes the decomposition without calling it, so tensor,
+    # windowing, models, generators, sizing and config do not depend on it
+    assert _windec_modules_imported(
+        "from .decomposition import x\nfrom . import decomposition, tensor\n"
+        "import windec.decomposition\nfrom windec.windowing import y\nimport numpy"
+    ) == {"decomposition", "tensor", "windowing"}
+    importers = {p.stem for p in sorted((ROOT / "src" / "windec").glob("*.py"))
+                 if "decomposition" in _windec_modules_imported(p.read_text(encoding="utf-8"))}
+    assert importers == {"cli", "__init__"}
+
+
+def test_windowing_keeps_no_alias_of_the_decomposition():
+    from windec import decomposition, windowing
+
+    moved = ("expand_domain", "chunk_domain", "window_patch", "window_offsets",
+             "receptive_field_probe")
+    assert all(hasattr(decomposition, name) for name in moved)
+    assert [name for name in moved if hasattr(windowing, name)] == []

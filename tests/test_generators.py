@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,25 @@ def test_heat_rejects_multichannel_and_1d():
         heat_step(BatchTensor(np.zeros((1, 8, 8, 2))), pde)
     with pytest.raises(Exception):
         heat_step(BatchTensor(np.zeros((1, 8, 1))), pde)
+
+
+@pytest.mark.parametrize("step, channels, pde, bound", [
+    *((heat_step, 1, GridPde(dx=1.0, dt=0.1, alpha=1.0, boundary=b), 4.0) for b in BOUNDARIES),
+    (burgers_step, 2, GridPde(dx=1.0, dt=0.1, nu=0.1), 6.0),
+], ids=[*(f"heat-{b}" for b in BOUNDARIES), "burgers"])
+def test_one_step_holds_no_copy_of_its_input(step, channels, pde, bound):
+    # one sub-step: a heat step holds its output, the padded input, the
+    # neighbor sum and one temporary; a copy of the input would be one more
+    u = BatchTensor(np.random.default_rng(5).uniform(-0.5, 0.5, (2, 128, 128, channels)))
+    step(u, pde)  # once untraced, so that one-time set-up is not counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step(u, pde)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * u.data.nbytes
 
 
 # --- generate_dataset -----------------------------------------------------------

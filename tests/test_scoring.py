@@ -114,8 +114,21 @@ class _NaNAtLastCell:
         return out
 
 
-@pytest.mark.parametrize("predictor", [_WrongShape(), _NaNAtLastCell()],
-                         ids=["wrong shape", "NaN"])
+class _CentersOf:
+    """Centers of the right shape whose values are ``value`` (not a real number)."""
+
+    radius = (0, 0)
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict_windows(self, windows):
+        return np.full((*windows.shape[:-3], windows.shape[-1]), self.value)
+
+
+@pytest.mark.parametrize("predictor", [_WrongShape(), _NaNAtLastCell(), _CentersOf(1.0 + 2.0j),
+                                       _CentersOf(object()), _CentersOf("1.0")],
+                         ids=["wrong shape", "NaN", "complex", "object", "string"])
 def test_scoring_rejects_broken_predictor_output(monkeypatch, predictor):
     monkeypatch.setattr(windowing, "TILE_BYTES", 9 * 3 * 8)  # one row per tile
     rng = np.random.default_rng(45)

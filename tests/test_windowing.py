@@ -28,7 +28,8 @@ from windec import (
     window_patch,
 )
 from windec import models, windowing
-from windec.windowing import apply_dense_stencil, window_view
+from windec.decomposition import apply_dense_stencil
+from windec.windowing import window_view
 from oracles import (
     brute_offsets,
     chunk_batch_index,
@@ -76,6 +77,19 @@ def test_expand_7x7_w3_step1_is_9x9_expanded_11x11():
     assert grown.dims == (1, 11, 11, 1)
     # original sits at the lead offset, everything else is exactly zero
     assert np.array_equal(grown.data[:, 1:8, 1:8, :], t.data)
+    outside = np.ones(grown.dims, dtype=bool)
+    outside[:, 1:8, 1:8, :] = False
+    assert np.all(grown.data[outside] == 0.0)
+    assert math.fsum(grown.data.ravel()) == math.fsum(t.data.ravel())
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       st.sampled_from([3, 5]))
+def test_expand_preserves_sum_exactly(seed, extents, w):
+    # exact accumulation: the zeros added must not change the total at all
+    t = rand_tensor(np.random.default_rng(seed), (2, *extents, 1))
+    grown, rec = expand_domain(t, WindowSpec.cube(w, len(extents)))
+    assert grown.dims == (2, *rec.expanded, 1)
     assert math.fsum(grown.data.ravel()) == math.fsum(t.data.ravel())
 
 
@@ -249,6 +263,28 @@ def test_integrate_rejects_non_finite_predictor_output():
     t = BatchTensor(np.zeros((1, 9, 9, 1)))
     with pytest.raises(PredictorContractError):
         integrate_predictions(t, WindowSpec((3, 3)), NaNAtOneCell())
+
+
+class CentersOf:
+    """Centers of the right shape whose values are ``value`` (not a real number)."""
+
+    radius = (0, 0)
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict_windows(self, windows):
+        return np.full((*windows.shape[:-3], windows.shape[-1]), self.value)
+
+
+@pytest.mark.parametrize("value", [1.0 + 2.0j, object(), "1.0"],
+                         ids=["complex", "object", "string"])
+def test_integrate_rejects_predictor_output_that_is_not_real(value):
+    # a complex prediction would lose its imaginary part when written, and an
+    # object or string one would escape np.isfinite as an untyped TypeError
+    t = BatchTensor(np.zeros((1, 9, 9, 1)))
+    with pytest.raises(PredictorContractError, match="real numbers"):
+        integrate_predictions(t, WindowSpec((3, 3)), CentersOf(value))
 
 
 def test_integrate_hands_predictor_private_read_only_windows(monkeypatch):

@@ -24,6 +24,7 @@ runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -40,6 +41,7 @@ from .config import (
     MAX_DATASET_VALUES,
     DatasetConfig,
     ExperimentConfig,
+    _number,
     load_config,
     parse_number_list,
     window_size,
@@ -199,6 +201,13 @@ def _nonempty(text: str) -> str:
     return text
 
 
+def _distinct(text: str, flag: str, check) -> list:
+    """The distinct values of a comma-separated list flag, in order, each
+    returned by ``check(value, "flag[i]")``, which raises a ConfigError."""
+    values = parse_number_list(text, flag)
+    return list(dict.fromkeys(check(v, f"{flag}[{i}]") for i, v in enumerate(values)))
+
+
 def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
     # prediction zero-extends each tile by the window radius, so any size
     # would run, but a window more than twice the grid extent is almost
@@ -282,14 +291,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
     if cfg.dataset.kind != "advection":
         raise ConfigError("sweep: dataset.kind must be advection")
-    windows, freqs = [], []
-    for i, v in enumerate(parse_number_list(args.windows, "--windows")):
-        v = window_size(v, f"--windows[{i}]")
-        if v not in windows:
-            windows.append(v)
-    for v in map(float, parse_number_list(args.freqs, "--freqs")):
-        if v not in freqs:
-            freqs.append(v)
+    windows = _distinct(args.windows, "--windows", window_size)
+    freqs = _distinct(args.freqs, "--freqs", functools.partial(_number, positive=True))
     if len(windows) < 2 or len(freqs) < 2:
         raise ConfigError("sweep needs at least 2 windows and 2 frequencies")
 
@@ -322,33 +325,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def bench_roundtrip(
-    block_counts: list[int],
-    repetitions: int,
-    window: int = 3,
-    fixed_blocks: int = 8,
-    batch: int = 16,
-    seed: int = 0,
-) -> list[tuple[int, float]]:
-    """Median chunk+patch seconds for each largest-block count.
+# bench inputs: BENCH_BATCH frames of seeded normals, b_max blocks of W cells
+# along the first axis and BENCH_FIXED_BLOCKS along the second, so that block
+# movement dominates per-call overhead and cost isolates b_max
+BENCH_BATCH = 16
+BENCH_FIXED_BLOCKS = 8
 
-    The scaled dimension carries ``b_max`` blocks of ``window`` cells; the
-    second dimension stays at ``fixed_blocks`` so cost isolates b_max.  The
-    batch and fixed extents are sized so block movement dominates per-call
-    overhead from the smallest point on.
-    """
-    rng = np.random.default_rng(seed)
+
+def bench_roundtrip(block_counts: list[int], repetitions: int,
+                    window: int = 3) -> list[tuple[int, float]]:
+    """Median chunk+patch seconds for each largest-block count b_max."""
+    rng = np.random.default_rng(0)
     results = []
     for b_max in block_counts:
-        blocks = (b_max, fixed_blocks)
-        extents = (window * b_max, window * fixed_blocks)
-        x = BatchTensor(rng.standard_normal((batch, *extents, 1)))
-        window_patch(chunk_domain(x, blocks), batch, blocks)  # warmup
+        blocks = (b_max, BENCH_FIXED_BLOCKS)
+        extents = (window * b_max, window * BENCH_FIXED_BLOCKS)
+        x = BatchTensor(rng.standard_normal((BENCH_BATCH, *extents, 1)))
+        window_patch(chunk_domain(x, blocks), BENCH_BATCH, blocks)  # warmup
         times = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
             chunked = chunk_domain(x, blocks)
-            window_patch(chunked, batch, blocks)
+            window_patch(chunked, BENCH_BATCH, blocks)
             times.append(time.perf_counter() - t0)
         results.append((b_max, statistics.median(times)))
     return results
@@ -370,8 +368,13 @@ def cmd_bench(args) -> int:
         raise ConfigError("--blocks: list must be sorted ascending")
     if args.reps < 1:
         raise ConfigError("--reps: must be >= 1")
-    window_size(args.bench_window, "--bench-window")
-    results = bench_roundtrip(blocks, args.reps, window=args.bench_window)
+    window = window_size(args.bench_window, "--bench-window")
+    # refuse before the first point is timed, as probe refuses its grid
+    largest = BENCH_BATCH * window * blocks[-1] * window * BENCH_FIXED_BLOCKS
+    if largest > MAX_DATASET_VALUES:
+        raise ConfigError(f"--blocks/--bench-window: the input at b_max={blocks[-1]} holds "
+                          f"{largest} values, more than {MAX_DATASET_VALUES}")
+    results = bench_roundtrip(blocks, args.reps, window=window)
     out = _out_dir(args, "results")
     path = out / "bench.csv"
     _write_csv(path, "b_max,median_seconds,repetitions",

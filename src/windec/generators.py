@@ -19,6 +19,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -306,15 +307,14 @@ def harmonic_field(
     bandwidth: float,
     base_freq: float = 0.5,
     envelope_sigma: float | None = None,
-    amplitude_range: tuple[float, float] = (0.7, 1.3),
 ) -> BatchTensor:
     """Octave-spaced sine mixture with spectral support inside [-B, B].
 
     Components sit at base_freq, 2*base_freq, 4*base_freq, .. up to
     ``bandwidth`` cycles per unit length, as diagonal plane waves with seeded
-    amplitudes and phases per batch item/channel.  ``envelope_sigma`` (in
-    length units) applies a centered Gaussian taper so fields decay toward
-    the boundary.
+    amplitudes in [0.7, 1.3) and phases per batch item/channel.
+    ``envelope_sigma`` (in length units) applies a centered Gaussian taper so
+    fields decay toward the boundary.
     """
     if bandwidth <= 0 or base_freq <= 0:
         raise DomainError("bandwidth and base_freq must be positive")
@@ -328,7 +328,7 @@ def harmonic_field(
     while f <= bandwidth * (1 + 1e-12):
         freqs.append(f)
         f *= 2
-    lo, hi = amplitude_range
+    lo, hi = 0.7, 1.3
     env = 1.0
     if envelope_sigma is not None:
         extents = tuple(n * dx for n in grid.spatial)
@@ -613,6 +613,22 @@ def check_payload(fh: BinaryIO, n: int, what: str) -> None:
         raise FormatError(f"header implies {n} bytes of {what}, but {left} follow")
 
 
+@contextlib.contextmanager
+def replacing_file(path) -> Iterator[BinaryIO]:
+    """A new binary file beside ``path``, renamed over it when the block ends;
+    a write that fails partway leaves ``path`` as it was and no file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # "x": a new file, with the mode open(path, "wb") would give it
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class _FrameFile(abc.Sequence):
     """The frames of a dataset file that :func:`read_dataset` validated, read on demand.
 
@@ -699,12 +715,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def write_dataset(path, ds: Dataset) -> None:
-    """Serialize a dataset; floats round-trip bit-exactly.
-
-    The file is written beside ``path`` under a temporary name and renamed
-    over it once complete, so a failed write leaves ``path`` as it was, and
-    a dataset read from ``path`` can be written back to it.
-    """
+    """Serialize a dataset through :func:`replacing_file`; floats round-trip
+    bit-exactly, and a dataset read from ``path`` can be written back to it."""
     _write_container(path, ds.kind, ds.grid, ds.pde, ds.seed, ds.meta, ds.n_steps, ds.frames)
 
 
@@ -721,27 +733,16 @@ def _write_container(path, kind: str, grid: Shape, pde: GridPde, seed: int,
     if pde.c is None:
         meta["c"] = "unset"
     meta_bytes = "\n".join(f"{k}={v}" for k, v in sorted(meta.items())).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        # "x": a new file, with the mode open(path, "wb") would give it
-        with open(tmp, "xb") as fh:
-            fh.write(struct.pack("<4sIBBH", DATASET_MAGIC, DATASET_VERSION,
-                                 _KIND_CODES[kind], d, 0))
-            fh.write(struct.pack(f"<{d + 3}I", grid.batch, *grid.spatial, grid.channels,
-                                 n_steps))
-            fh.write(struct.pack(f"<2d{d}d2dQ", pde.dt, pde.dx, *c,
-                                 pde.nu, pde.alpha, seed))
-            fh.write(struct.pack("<I", len(meta_bytes)))
-            fh.write(meta_bytes)
-            for frame in frames:
-                # little-endian as declared, and no copy on a little-endian host
-                fh.write(frame.data.astype("<f8", copy=False))
-                del frame  # before the next one is drawn
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing_file(path) as fh:
+        fh.write(struct.pack("<4sIBBH", DATASET_MAGIC, DATASET_VERSION, _KIND_CODES[kind], d, 0))
+        fh.write(struct.pack(f"<{d + 3}I", grid.batch, *grid.spatial, grid.channels, n_steps))
+        fh.write(struct.pack(f"<2d{d}d2dQ", pde.dt, pde.dx, *c, pde.nu, pde.alpha, seed))
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
+        for frame in frames:
+            # little-endian as declared, and no copy on a little-endian host
+            fh.write(frame.data.astype("<f8", copy=False))
+            del frame  # before the next one is drawn
 
 
 def read_dataset(path) -> Dataset:

@@ -55,7 +55,7 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .generators import Dataset, GridPde, check_payload, read_exact
+from .generators import Dataset, GridPde, check_payload, read_exact, replacing_file
 from .sizing import courant
 from .tensor import BatchTensor
 from . import windowing
@@ -713,9 +713,9 @@ def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     return p.ravel(), t.ravel()
 
 
-# Each metric is a ratio of per-cell sums: ``_dot2`` and ``_*_terms`` sum a
-# part of the frame, and the finishing function takes the sums over the
-# whole frame.
+# Each metric is a ratio of per-cell sums: ``_dot2``, ``_paper_terms`` and
+# ``_dev`` sum a part of the frame, and the finishing function takes the sums
+# over the whole frame.
 
 
 def _dot2(x: np.ndarray) -> float:
@@ -723,8 +723,8 @@ def _dot2(x: np.ndarray) -> float:
     return float(x.dot(x))
 
 
-def _rel_l2(res_dot: float, truth_dot: float) -> float:
-    num, den = math.sqrt(res_dot), math.sqrt(truth_dot)
+def _rel_l2(res: float, truth_dot: float) -> float:
+    num, den = math.sqrt(res), math.sqrt(truth_dot)
     if den == 0.0:
         return 0.0 if num == 0.0 else float("inf")
     return num / den
@@ -743,11 +743,10 @@ def _paper_terms(d: np.ndarray, t: np.ndarray) -> tuple[float, int]:
     return float(np.sum(np.abs(d, out=d))), excluded
 
 
-def _r2_terms(d: np.ndarray, t: np.ndarray, mean: float) -> tuple[float, float]:
-    """Sum d^2 and (t - mean)^2 pairwise, each in ``d``'s memory.  Overwrites ``d``."""
-    res = float(np.sum(np.square(d, out=d)))
-    np.subtract(t, mean, out=d)
-    return res, float(np.sum(np.square(d, out=d)))
+def _dev(t: np.ndarray, mean: float, out: np.ndarray) -> float:
+    """Sum (t - mean)^2 pairwise, in ``out``'s memory.  Overwrites ``out``."""
+    np.subtract(t, mean, out=out)
+    return float(np.sum(np.square(out, out=out)))
 
 
 def _r2(res: float, dev: float) -> float:
@@ -767,18 +766,17 @@ class MetricSums:
     per ``eval-2d-w17`` pass).  Each :meth:`add` takes a prediction of some
     of its cells and the truth under them, so a frame can be scored tile by
     tile as it is predicted; once every cell is added, :meth:`record` gives
-    the metrics.  Added over one part holding the whole frame, the sums are
-    exactly those of :func:`metrics_record`.  The sum of squared differences
-    is kept twice, summed as ``rel_l2`` and ``r2`` each sum it, so that each
-    keeps its own value bit for bit.
+    the metrics.  The one sum of squared differences, ``res``, is summed as
+    dot products and read by both ``rel_l2`` and ``r2``.  Added over one
+    part holding the whole frame, the sums are exactly those of
+    :func:`metrics_record` and of each metric's own function.
     """
 
     truth_mean: float
     truth_dot: float  # sum of t^2 over the frame, as a dot product (rel_l2)
-    res_dot: float = 0.0  # sum of d^2, as dot products (rel_l2)
+    res: float = 0.0  # sum of d^2, as dot products (rel_l2 and r2)
     paper: float = 0.0  # sum of |d| / |t| over non-zero truth (paper_l2)
     excluded: int = 0  # cells with zero truth (paper_l2)
-    res: float = 0.0  # sum of d^2, pairwise (r2)
     dev: float = 0.0  # sum of (t - truth_mean)^2, pairwise (r2)
 
     @classmethod
@@ -790,18 +788,15 @@ class MetricSums:
         """Add the terms of ``pred`` against ``truth``, using one array of differences."""
         p, t = _pair(pred, truth)
         d = p - t
-        self.res_dot += _dot2(d)
+        self.res += _dot2(d)
         paper, excluded = _paper_terms(d, t)
-        np.subtract(p, t, out=d)
-        res, dev = _r2_terms(d, t, self.truth_mean)
         self.paper += paper
         self.excluded += excluded
-        self.res += res
-        self.dev += dev
+        self.dev += _dev(t, self.truth_mean, d)
 
     def record(self) -> MetricsRecord:
         """The frame's metrics; raises :class:`DegenerateTruth` if its truth is constant."""
-        return MetricsRecord(_rel_l2(self.res_dot, self.truth_dot), self.paper,
+        return MetricsRecord(_rel_l2(self.res, self.truth_dot), self.paper,
                              _r2(self.res, self.dev))
 
 
@@ -811,23 +806,21 @@ def rel_l2(pred, truth) -> float:
     return _rel_l2(_dot2(p - t), _dot2(t))
 
 
-def paper_l2(pred, truth, return_excluded: bool = False):
+def paper_l2(pred, truth) -> float:
     """Summed per-cell relative error sum_i |pred_i - truth_i| / |truth_i|.
 
-    Cells with zero truth are excluded from the sum; the exclusion count is
-    logged and optionally returned.
+    Cells with zero truth are excluded from the sum, and their count is
+    logged; :class:`MetricSums` keeps it as ``excluded``.
     """
     p, t = _pair(pred, truth)
-    value, excluded = _paper_terms(p - t, t)
-    if return_excluded:
-        return value, excluded
-    return value
+    return _paper_terms(p - t, t)[0]
 
 
 def r2(pred, truth) -> float:
     """Coefficient of determination 1 - SS_res / SS_tot."""
     p, t = _pair(pred, truth)
-    return _r2(*_r2_terms(p - t, t, t.mean()))
+    d = p - t
+    return _r2(_dot2(d), _dev(t, t.mean(), d))
 
 
 def metrics_record(pred, truth) -> MetricsRecord:
@@ -850,8 +843,9 @@ def metrics_record(pred, truth) -> MetricsRecord:
 
 
 def write_stencil(path, st: LearnedStencil) -> None:
+    """Serialize a stencil through :func:`windec.generators.replacing_file`."""
     d = st.window.ndim
-    with open(path, "wb") as fh:
+    with replacing_file(path) as fh:
         fh.write(struct.pack("<4sIB", STENCIL_MAGIC, STENCIL_VERSION, d))
         fh.write(struct.pack(f"<{d}I", *st.window.sizes))
         fh.write(struct.pack("<Id", st.channels, st.ridge_lambda))

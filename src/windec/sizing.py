@@ -126,14 +126,13 @@ def recommend_window(
     kind: str = "advection",
     probe=None,
     u_max: float | None = None,
-    energy_fraction: float = 0.99,
 ) -> SizingReport:
     """Advisory window size: ten characteristic lengths, bandwidth-checked.
 
     The heuristic count is max(3, round(10 * L_c / dx)); when a probe signal
-    is supplied its bandwidth bound is also computed and the larger of the
-    two wins.  The result is rounded up to the next odd integer so it is
-    always usable as a window size.
+    is supplied its bandwidth bound (the band holding 99% of its energy) is
+    also computed and the larger of the two wins.  The result is rounded up
+    to the next odd integer so it is always usable as a window size.
     """
     if probe is None and pde.c is None and pde.alpha == 0 and pde.nu == 0 and u_max is None:
         raise DomainError("need physical coefficients or a probe signal")
@@ -150,7 +149,7 @@ def recommend_window(
     bound = None
     if probe is not None:
         n_per_unit = max(1, round(1.0 / pde.dx))
-        bandwidth = bandwidth_estimate(probe, energy_fraction, pde.dx)
+        bandwidth = bandwidth_estimate(probe, dx=pde.dx)
         if bandwidth > 0:
             bound = min_window_for_bandwidth(n_per_unit, bandwidth)
     cells = _next_odd(max(heuristic, bound or 1))

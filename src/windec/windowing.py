@@ -101,29 +101,26 @@ def _tiles(extents: Sequence[int], max_cells: int) -> Iterator[tuple]:
             yield (*outer, slice(lo, lo + step))
 
 
-def _fill_slab(slab: np.ndarray, grid: np.ndarray, corner: Sequence[int],
-               held: tuple | None) -> tuple:
+def _fill_slab(slab: np.ndarray, grid: np.ndarray, corner: Sequence[int]) -> None:
     """Fill ``slab`` with the cells of ``grid`` under it, zero-extended.
 
     ``slab[0, .., 0]`` lies at grid index ``corner`` (one entry per axis but
-    the channels, negative inside the halo before the grid); every slab cell
-    outside ``grid`` is 0.  ``held`` is the box of slab cells the previous
-    fill of this slab copied, or None for a fresh slab: the cells outside it
-    still hold their zeros, so they are written again only when the box
-    moves.  Returns the box copied now, the ``held`` of the next fill.
+    the channels, negative inside the halo before the grid).  Every fill
+    copies the cells in the grid and zeroes each non-empty face outside it,
+    so it depends on nothing an earlier fill left; this is the one place on
+    the prediction path that knows what lies outside the grid.
     """
     box, cells = [], []
-    for c, m, n in zip(corner, slab.shape, grid.shape):
+    for i, (c, m, n) in enumerate(zip(corner, slab.shape, grid.shape)):
         lo, hi = max(0, -c), min(m, n - c)
+        before = (slice(None),) * i
+        if lo:
+            slab[(*before, slice(0, lo))] = 0.0
+        if hi < m:
+            slab[(*before, slice(hi, None))] = 0.0
         box.append(slice(lo, hi))
         cells.append(slice(c + lo, c + hi))
-    box = tuple(box)
-    if box != held:
-        for i, b in enumerate(box):  # the faces outside the box, axis by axis
-            slab[(slice(None),) * i + (slice(0, b.start),)] = 0.0
-            slab[(slice(None),) * i + (slice(b.stop, None),)] = 0.0
-    slab[box] = grid[tuple(cells)]
-    return box
+    slab[tuple(box)] = grid[tuple(cells)]
 
 
 def _predicted_tiles(t: BatchTensor, w: WindowSpec,
@@ -133,16 +130,19 @@ def _predicted_tiles(t: BatchTensor, w: WindowSpec,
     ``tile`` indexes ``t.dims[:-1]`` and ``centers`` is the checked
     ``(..., N_c)`` prediction of its cells, valid until the next tile is
     predicted: it may be a view of the slab, which the next fill overwrites.
-    Raises :class:`PredictorContractError` for a prediction of the wrong
-    shape, of values that are not real numbers (complex, object, strings),
-    or holding a non-finite value.
+    From tile to tile it keeps only a slab and its window view per tile
+    length (full tiles and a ragged last one); :func:`_fill_slab` alone
+    decides what the halo outside the grid holds.  Raises
+    :class:`PredictorContractError` for a prediction of the wrong shape, of
+    values that are not real numbers (complex, object, strings), or holding
+    a non-finite value.
     """
     if w.ndim != t.ndim:
         raise RankError(f"window rank {w.ndim} does not match grid rank {t.ndim}")
     grid = t.data
     halo = (0, *w.radius)  # per grid axis; the batch axis has none
     max_cells = max(1, TILE_BYTES // (w.sizes[-1] * t.channels * grid.itemsize))
-    # tile length along the cut axis -> [slab, its windows as a tile, held box]
+    # tile length along the cut axis -> (slab, its windows as a tile)
     slabs = {}
     for tile in _tiles(t.dims[:-1], max_cells):
         *outer, cut = tile
@@ -154,10 +154,10 @@ def _predicted_tiles(t: BatchTensor, w: WindowSpec,
                      *(n + 2 * h for n, h in zip(grid.shape[k + 1:], halo[k + 1:])),
                      t.channels)
             slab = np.empty(shape)
-            slabs[m] = [slab, window_view(slab, w.sizes)[(0,) * k], None]
-        slab, windows, held = slabs[m]
+            slabs[m] = slab, window_view(slab, w.sizes)[(0,) * k]
+        slab, windows = slabs[m]
         corner = (*map(operator.sub, outer, halo), lo - halo[k], *(-h for h in halo[k + 1:]))
-        slabs[m][2] = _fill_slab(slab, grid, corner, held)
+        _fill_slab(slab, grid, corner)
         got = np.asarray(predictor.predict_windows(windows))
         expected = grid[tile].shape
         if got.shape != expected:

@@ -359,6 +359,21 @@ def test_sweep_needs_two_by_two(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--windows", "3", "--freqs", "1,2"]) == 1
 
 
+@pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf", "1e400",
+                                  pytest.param("1" + "0" * 400, id="10**400")])
+def test_sweep_refuses_a_frequency_before_generating(tmp_path, capsys, monkeypatch, freq):
+    # checked as the config checks ic.freq, before any dataset is generated
+    def generate(*args):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(cli, "generate_dataset", generate)
+    cfg = write_config(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--windows", "3,5", f"--freqs={freq},1"]
+    assert main(argv) == 1
+    assert "config error: --freqs[0]: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- bench -------------------------------------------------------------------
 
 
@@ -380,6 +395,30 @@ def test_bench_rejects_bad_blocks(tmp_path, capsys):
         assert main(["bench", "--blocks", blocks, "--reps", "1", "--out", str(out)]) == 1
         assert "config error: --blocks" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_bench_refuses_an_input_beyond_the_value_cap_before_timing(tmp_path, capsys,
+                                                                  monkeypatch):
+    calls = []
+    chunk = cli.chunk_domain
+
+    def chunk_domain(*args):
+        calls.append(args[1])
+        return chunk(*args)
+
+    monkeypatch.setattr(cli, "chunk_domain", chunk_domain)
+    out = tmp_path / "bench"
+    argv = ["bench", "--reps", "1", "--out", str(out), "--blocks"]
+    assert main([*argv, "8,16,32,100000000000000000000"]) == 1
+    assert "config error: --blocks/--bench-window: " in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    # the largest input is batch x W*b_max x W*fixed_blocks values: at the cap it runs
+    monkeypatch.setattr(cli, "MAX_DATASET_VALUES",
+                        cli.BENCH_BATCH * 3 * 32 * 3 * cli.BENCH_FIXED_BLOCKS)
+    assert main([*argv, "4,8,16,33"]) == 1
+    assert calls == [] and not out.exists()
+    assert main([*argv, "4,8,16,32"]) == 0
+    assert calls == [(4, 8), (4, 8), (8, 8), (8, 8), (16, 8), (16, 8), (32, 8), (32, 8)]
 
 
 def test_bench_times_each_repetition_and_reports_the_median(monkeypatch):
@@ -406,7 +445,7 @@ def test_bench_times_each_repetition_and_reports_the_median(monkeypatch):
 
         monkeypatch.setattr(cli.time, "perf_counter", perf_counter)
         monkeypatch.setattr(cli, "chunk_domain", chunk_domain)
-        got = cli.bench_roundtrip(blocks, repetitions, fixed_blocks=2, batch=2)
+        got = cli.bench_roundtrip(blocks, repetitions)
         assert got == [(b, statistics.median(durations[b])) for b in blocks]
         # per b_max: one untimed warm-up round trip, then one clocked round trip
         # per repetition
@@ -809,3 +848,43 @@ def test_abbreviated_flag_is_config_error(tmp_path, capsys):
     assert main(["bench", "--out", str(out), "--blocks", "4,8,16,32", "--rep", "1"]) == 1
     assert "config error: unrecognized arguments: --rep 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each numeric flag, the arguments that keep the rest of its call valid, and
+# the flag's value around the bad one ("{}"): a list flag gets it first
+_NUMERIC_FLAGS = [
+    ("eval", "--seed", "{}", ["--config", "CONFIG"]),
+    ("eval", "--window", "{},3", ["--config", "CONFIG"]),
+    ("sweep", "--seed", "{}", ["--config", "CONFIG", "--windows", "3,5", "--freqs", "1,2"]),
+    ("sweep", "--windows", "{},5", ["--config", "CONFIG", "--freqs", "1,2"]),
+    ("sweep", "--freqs", "{},1", ["--config", "CONFIG", "--windows", "3,5"]),
+    ("bench", "--blocks", "{},8,16,32", ["--out", "OUT", "--reps", "1"]),
+    ("bench", "--reps", "{}", ["--out", "OUT", "--blocks", "4,8,16,32"]),
+    ("bench", "--bench-window", "{}", ["--out", "OUT", "--blocks", "4,8,16,32", "--reps", "1"]),
+    ("probe", "--radius", "{}", ["--layers", "1"]),
+    ("probe", "--layers", "{}", ["--radius", "1"]),
+    ("probe", "--extent", "{}", ["--radius", "1", "--layers", "1"]),
+    ("probe", "--ndim", "{}", ["--radius", "1", "--layers", "1"]),
+]
+
+
+@pytest.mark.parametrize("command, flag, template, kept", _NUMERIC_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _, _ in _NUMERIC_FLAGS])
+def test_numeric_flags_refuse_values_that_are_not_finite_or_in_range(tmp_path, capsys, command,
+                                                                       flag, template, kept):
+    # 0 is a valid seed; every other value here is a config error before anything runs
+    names = {"CONFIG": str(write_config(tmp_path)), "OUT": str(tmp_path / "out")}
+    kept = [names.get(a, a) for a in kept]
+    for value in ("nan", "inf", "1e400", *(("0",) if flag != "--seed" else ())):
+        assert main([command, *kept, flag, template.format(value)]) == 1, value
+        err = capsys.readouterr().err
+        assert re.search(r"^config error: ", err, re.MULTILINE), (value, err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_the_numeric_flag_table_names_every_numeric_flag():
+    numeric = {(c, f) for c, f, _, _ in _NUMERIC_FLAGS}
+    for command, flags in _FLAGS.items():
+        for flag in flags - {"--config", "--out", "--data"}:
+            assert (command, flag) in numeric

@@ -1,3 +1,4 @@
+import errno
 import os
 import struct
 import tracemalloc
@@ -333,6 +334,25 @@ def test_stencil_round_trip_bit_exact(tmp_path):
     assert back.ridge_lambda == st.ridge_lambda
     assert np.array_equal(back.weights, st.weights)
     assert np.array_equal(back.bias, st.bias)
+
+
+def test_stencil_write_failing_partway_through_leaves_the_old_file(tmp_path):
+    path = tmp_path / "old.ddst"
+    write_stencil(path, small_stencil())
+    raw = path.read_bytes()
+    st = small_stencil()
+
+    class FailsAtTheBiases:
+        window, channels, ridge_lambda, weights = st.window, st.channels, st.ridge_lambda, st.weights
+
+        @property
+        def bias(self):  # read once the header and the weights are written
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError):
+        write_stencil(path, FailsAtTheBiases())
+    assert path.read_bytes() == raw
+    assert os.listdir(tmp_path) == ["old.ddst"]
 
 
 def test_stencil_header_matches_documented_layout(tmp_path):

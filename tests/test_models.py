@@ -16,6 +16,7 @@ from windec import (
     IdentityPredictor,
     InitialCondition,
     LearnedStencil,
+    MetricSums,
     MetricsRecord,
     Shape,
     ShapeMismatchError,
@@ -784,9 +785,10 @@ def test_metrics_invariances():
 def test_metrics_paper_l2_excludes_zero_cells():
     truth = np.array([0.0, 1.0, 2.0])
     pred = np.array([5.0, 1.5, 2.0])
-    value, excluded = paper_l2(pred, truth, return_excluded=True)
-    assert excluded == 1
-    assert value == pytest.approx(0.5)
+    assert paper_l2(pred, truth) == pytest.approx(0.5)
+    sums = MetricSums.of(truth)
+    sums.add(pred, truth)
+    assert sums.excluded == 1
 
 
 @pytest.mark.parametrize("zeros", [0, 37])
@@ -799,8 +801,11 @@ def test_paper_l2_equals_the_gathered_sum(zeros):
     p, t = pred.ravel(), truth.ravel()
     mask = t != 0.0
     want = float(np.sum(np.abs(p[mask] - t[mask]) / np.abs(t[mask])))
-    assert paper_l2(pred, truth, return_excluded=True) == (want, zeros)
+    assert paper_l2(pred, truth) == want
     assert paper_l2(BatchTensor(pred), BatchTensor(truth)) == want
+    sums = MetricSums.of(truth)
+    sums.add(pred, truth)
+    assert (sums.paper, sums.excluded) == (want, zeros)
 
 
 def test_metrics_degenerate_truth():
@@ -837,6 +842,24 @@ def test_metrics_record_is_bit_identical_to_each_metric(zeros):
         float(np.sum(np.abs(p[mask] - t[mask]) / np.abs(t[mask]))),
         1.0 - float(np.sum((p - t) ** 2)) / float(np.sum((t - t.mean()) ** 2)))
     assert np.array_equal(pred, kept[0]) and np.array_equal(truth, kept[1])
+
+
+def test_rel_l2_and_r2_read_one_sum_of_squared_differences():
+    # scored part by part, both metrics take the same sum of d.d over the parts
+    # (at this seed a pairwise sum of d^2 differs from it in the last bit)
+    rng = np.random.default_rng(31)
+    truth = rng.standard_normal((3, 1000))
+    pred = truth + 0.1 * rng.standard_normal(truth.shape)
+    sums = MetricSums.of(truth)
+    res = dev = 0.0
+    for p, t in zip(pred, truth):
+        sums.add(p, t)
+        res += float((p - t).dot(p - t))
+        dev += float(np.sum((t - sums.truth_mean) ** 2))
+    assert (sums.res, sums.dev) == (res, dev)
+    rec = sums.record()
+    assert rec.rel_l2 == math.sqrt(res) / math.sqrt(float(truth.ravel().dot(truth.ravel())))
+    assert rec.r2 == 1.0 - res / dev
 
 
 def test_metrics_record_holds_one_frame_of_differences():

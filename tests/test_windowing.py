@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -459,6 +460,28 @@ def test_integrate_copies_centers_a_predictor_returns_as_views_of_its_windows(mo
     monkeypatch.setattr(windowing, "TILE_BYTES", 7 * 3 * 2 * 8)
     t = rand_tensor(np.random.default_rng(33), (2, 6, 5, 9, 2))
     assert integrate_predictions(t, w, CenterView()).equals(t)
+
+
+@pytest.mark.parametrize("extents, halo, slab_extents", [
+    ((7,), (2,), (5,)),
+    ((5, 6), (1, 2), (4, 7)),
+    ((3, 4, 5), (1, 1, 2), (3, 4, 6)),
+])
+def test_fill_slab_writes_every_cell_whatever_the_slab_held(extents, halo, slab_extents):
+    # one slab, NaN at first, filled at every corner in a shuffled order: each
+    # fill equals the box of the zero-padded grid under it, so no fill depends
+    # on what an earlier one left
+    rng = np.random.default_rng(34)
+    grid = rng.standard_normal((2, *extents, 2))
+    padded = np.pad(grid, [(0, 0), *((h, h) for h in halo), (0, 0)])
+    slab = np.full((1, *slab_extents, 2), np.nan)
+    corners = list(itertools.product(range(2), *(
+        range(-h, n + h - m + 1) for n, h, m in zip(extents, halo, slab_extents))))
+    for i in rng.permutation(len(corners)):
+        b, *corner = corners[i]
+        assert windowing._fill_slab(slab, grid, (b, *corner)) is None
+        box = tuple(slice(c + h, c + h + m) for c, h, m in zip(corner, halo, slab_extents))
+        assert np.array_equal(slab, padded[(slice(b, b + 1), *box)])
 
 
 @st.composite

@@ -4,69 +4,83 @@
 Both models get the same training sample budget and a 50/50 frame-pair
 split.  The window stencil sees only a 5x5 neighborhood per prediction and
 recovers the transport rule; the global baseline must fit a whole-frame map
-from a handful of frame pairs and generalizes far worse.  Writes
-<out>/local_vs_global.csv.
+from a handful of frame pairs and generalizes far worse.  Runs ``windec gen``
+once, then ``windec eval --data`` for each model, and writes
+<out>/local_vs_global.csv from the two test-frame metric files.
 """
 
 import argparse
+import csv
+import json
+import statistics
+import sys
+import tempfile
 from pathlib import Path
 
-import numpy as np
+from windec.cli import main as windec_main
 
-from windec import (
-    GridPde,
-    InitialCondition,
-    Shape,
-    WindowSpec,
-    fit_global_linear,
-    fit_stencil,
-    generate_dataset,
-    integrate_predictions,
-    r2,
-    rel_l2,
-)
+MODELS = {"local": "stencil", "global": "global"}
 
 
-def run(out_dir: str, budget: int, seed: int) -> None:
-    grid = Shape(4, (48, 48), 1)
+def _config(kind: str, budget: int, seed: int, out_dir: Path) -> dict:
     dx = 1 / 48
-    pde = GridPde(dx=dx, dt=1.0, c=(dx, 0.0))
-    ic = InitialCondition("bumps", n_bumps=3, width_fraction_range=(0.03, 0.06),
-                          center_margin=0.3)
-    ds = generate_dataset("advection", grid, pde, ic, 8, seed=seed)
-    perm = np.random.default_rng(seed).permutation(ds.n_steps)
-    train = sorted(int(i) for i in perm[: ds.n_steps // 2])
-    test = sorted(int(i) for i in perm[ds.n_steps // 2 :])
+    return {
+        "dataset": {
+            "kind": "advection", "batch": 4, "extents": [48, 48], "channels": 1,
+            "dx": dx, "dt": 1.0, "c": [dx, 0.0],
+            "ic": {"kind": "bumps", "n_bumps": 3,
+                   "width_fraction_range": [0.03, 0.06], "center_margin": 0.3},
+            "n_steps": 8, "seed": seed,
+        },
+        "window": [5, 5],
+        "predictor": {"kind": kind, "ridge_lambda": 1e-8, "sample_budget": budget},
+        "split_fraction": 0.5,
+        "seed": seed,
+        "out_dir": str(out_dir),
+    }
 
-    w = WindowSpec((5, 5))
-    stencil = fit_stencil(ds, w, ridge_lambda=1e-8, sample_budget=budget,
-                          seed=seed, pair_indices=train)
-    baseline = fit_global_linear(ds, ridge_lambda=1e-8, sample_budget=budget,
-                                 seed=seed, pair_indices=train)
 
-    rows = []
-    for t in test:
-        truth = ds.frames[t + 1]
-        local = integrate_predictions(ds.frames[t], w, stencil)
-        whole = baseline.predict_frame(ds.frames[t])
-        rows.append((t, rel_l2(local, truth), r2(local, truth),
-                     rel_l2(whole, truth), r2(whole, truth)))
+def _test_rows(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def run(out_dir: str, budget: int, seed: int) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        configs = {}
+        for model, kind in MODELS.items():
+            configs[model] = work / f"{model}.json"
+            configs[model].write_text(json.dumps(_config(kind, budget, seed, work / model)),
+                                      encoding="utf-8")
+        data = work / "dataset.ddld"
+        commands = [["gen", "--config", str(configs["local"]), "--out", str(work)]]
+        commands += [["eval", "--config", str(path), "--data", str(data)]
+                     for path in configs.values()]
+        for argv in commands:
+            status = windec_main(argv)
+            if status:
+                return status
+        rows = {model: _test_rows(work / model / "metrics_test.csv") for model in MODELS}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "local_vs_global.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("frame,local_rel_l2,local_r2,global_rel_l2,global_r2\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+        for local, whole in zip(rows["local"], rows["global"]):
+            values = (int(local["frame"]), float(local["rel_l2"]), float(local["r2"]),
+                      float(whole["rel_l2"]), float(whole["r2"]))
+            fh.write(",".join(format(v, ".12g") for v in values) + "\n")
 
-    mean_local = np.mean([r[1] for r in rows])
-    mean_global = np.mean([r[3] for r in rows])
-    print(f"sample budget {budget}, {len(train)}/{len(test)} train/test pairs")
+    mean_local = statistics.fmean(float(r["rel_l2"]) for r in rows["local"])
+    mean_global = statistics.fmean(float(r["rel_l2"]) for r in rows["global"])
+    print(f"sample budget {budget}, {len(rows['local'])} test pairs")
     print(f"local  stencil: mean test rel_l2 {mean_local:.3e}")
     print(f"global linear : mean test rel_l2 {mean_global:.3e}")
     print(f"ratio local/global: {mean_local / mean_global:.3e}")
     print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
@@ -75,4 +89,4 @@ if __name__ == "__main__":
     parser.add_argument("--budget", type=int, default=2048, help="samples per model")
     parser.add_argument("--seed", type=int, default=9)
     args = parser.parse_args()
-    run(args.out, args.budget, args.seed)
+    sys.exit(run(args.out, args.budget, args.seed))

@@ -24,7 +24,6 @@ runtime error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import statistics
@@ -52,6 +51,7 @@ from .generators import (
     Dataset,
     GridPde,
     InitialCondition,
+    check_ic,
     generate_dataset,
     read_dataset,
     write_generated,
@@ -291,20 +291,30 @@ def cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
     if cfg.dataset.kind != "advection":
         raise ConfigError("sweep: dataset.kind must be advection")
-    windows = _distinct(args.windows, "--windows", window_size)
-    freqs = _distinct(args.freqs, "--freqs", functools.partial(_number, positive=True))
-    if len(windows) < 2 or len(freqs) < 2:
-        raise ConfigError("sweep needs at least 2 windows and 2 frequencies")
+    base = cfg.dataset
 
-    d = len(cfg.dataset.extents)
-    rows = []
-    for fi, freq in enumerate(freqs):
-        base = cfg.dataset
+    def freq_ic(value, where: str) -> tuple[float, InitialCondition]:
+        freq = _number(value, where, positive=True)
         if base.ic.kind == "harmonics":
             ic = InitialCondition("harmonics", bandwidth=freq, base_freq=base.ic.base_freq,
                                   envelope_sigma=base.ic.envelope_sigma)
         else:
             ic = InitialCondition("sine", freq=freq)
+        try:
+            check_ic(ic)
+        except WindecError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        return freq, ic
+
+    windows = _distinct(args.windows, "--windows", window_size)
+    # every frequency's initial condition is checked before the first is generated
+    freqs = _distinct(args.freqs, "--freqs", freq_ic)
+    if len(windows) < 2 or len(freqs) < 2:
+        raise ConfigError("sweep needs at least 2 windows and 2 frequencies")
+
+    d = len(base.extents)
+    rows = []
+    for fi, (freq, ic) in enumerate(freqs):
         ds = _generate(replace(base, ic=ic, seed=base.seed + 1000 * fi))
         train_pairs, test_pairs = _split_pairs(ds.n_steps, cfg.split_fraction, cfg.seed)
         for wcells in windows:

@@ -152,7 +152,8 @@ class DatasetConfig:
     seed: int = 0
 
     @classmethod
-    def parse(cls, raw: dict, where: str = "dataset") -> "DatasetConfig":
+    def parse(cls, raw: dict) -> "DatasetConfig":
+        where = "dataset"
         _check_keys(raw, cls, where)
         kind = _require(raw, "kind", where)
         extents = _require(raw, "extents", where)
@@ -206,7 +207,8 @@ class PredictorConfig:
     sample_budget: int = 4096
 
     @classmethod
-    def parse(cls, raw: dict, where: str = "predictor") -> "PredictorConfig":
+    def parse(cls, raw: dict) -> "PredictorConfig":
+        where = "predictor"
         _check_keys(raw, cls, where)
         kind = raw.get("kind", cls.kind)
         if kind not in _PREDICTOR_KINDS:

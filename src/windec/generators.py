@@ -300,6 +300,17 @@ def gaussian_bump_field(
     return BatchTensor(out)
 
 
+def _harmonic_freqs(bandwidth: float, base_freq: float) -> list[float]:
+    """The octaves base_freq, 2*base_freq, .. up to ``bandwidth``; none unless
+    both are positive."""
+    freqs = []
+    f = base_freq
+    while 0 < f <= bandwidth * (1 + 1e-12):
+        freqs.append(f)
+        f *= 2
+    return freqs
+
+
 def harmonic_field(
     seed: int,
     grid: Shape,
@@ -316,18 +327,14 @@ def harmonic_field(
     ``envelope_sigma`` (in length units) applies a centered Gaussian taper so
     fields decay toward the boundary.
     """
-    if bandwidth <= 0 or base_freq <= 0:
-        raise DomainError("bandwidth and base_freq must be positive")
+    freqs = _harmonic_freqs(bandwidth, base_freq)
+    if not freqs:
+        raise DomainError(f"bandwidth {bandwidth} holds no octave of base_freq {base_freq}")
     rng = np.random.default_rng(seed)
     coords = _cell_centers(grid, dx)
     phase_ax = coords[0]
     for c in coords[1:]:
         phase_ax = phase_ax + c
-    freqs = []
-    f = base_freq
-    while f <= bandwidth * (1 + 1e-12):
-        freqs.append(f)
-        f *= 2
     lo, hi = 0.7, 1.3
     env = 1.0
     if envelope_sigma is not None:
@@ -496,12 +503,17 @@ def check_request(kind, rank: int, channels: int, boundary, pde_fields: Mapping)
 
 
 def check_ic(ic: InitialCondition) -> None:
-    """Refuse an unknown IC kind or one without its parameter (``ic.kind``, ``ic.<name>``)."""
+    """Refuse an unknown IC kind, one without its parameter, and harmonics whose
+    ``bandwidth`` holds no octave of ``base_freq``, which would make an all-zero
+    field (``ic.kind``, ``ic.<name>``, ``ic.bandwidth``)."""
     if ic.kind not in IC_PARAMETER:
         raise DomainError(f"ic.kind: unknown initial condition {ic.kind!r}")
     name = IC_PARAMETER[ic.kind]
     if getattr(ic, name) is None:
         raise DomainError(f"ic.{name}: missing required field for kind {ic.kind!r}")
+    if ic.kind == "harmonics" and not _harmonic_freqs(ic.bandwidth, ic.base_freq):
+        raise DomainError(f"ic.bandwidth: {ic.bandwidth} holds no octave of base_freq "
+                          f"{ic.base_freq}, so the field would be all zeros")
 
 
 def _generated(

@@ -40,7 +40,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -67,7 +67,6 @@ STENCIL_MAGIC = b"DDST"
 STENCIL_VERSION = 1
 
 
-@runtime_checkable
 class Predictor(Protocol):
     """Contract for anything that predicts window centers.
 
@@ -187,13 +186,15 @@ class DiffusionStencil(_TapStencil):
 
 
 # Outputs per banded GEMM along the last spatial axis.  integrate_predictions
-# in ms with 4/8/12/16 outputs on a 2-core Xeon (medians of 9 rounds, each
-# the median of 10 calls; rounds spread by up to +-20%): 4x256^2 at 17^2
-# 15.8/16.1/27.6/18.3, 2x48^3 at 9^3 34/27/61/43, 2x32^3 at 5^3
-# 5.0/4.1/13.2/3.9, 4x256^2x2 at 3^2 13.4/12.3/13.5/11.2; 4x48^2 at 5^2 and
-# 4x1024 at 61 and at 5 within 0.1 ms of each other.  On these extents 12
-# leaves a ragged tail for the row matmuls; 4 and 16 tie with 8 on some
-# shapes and lose on others.
+# in ms with 4/8/12/16/24/32 outputs on a 2-core Xeon (medians of 9
+# interleaved rounds, each the median of 10 calls; rounds spread by up to
+# 50%): 4x256^2 at 17^2 10.7/7.7/14.3/7.6/20.4/10.2, 2x48^3 at 9^3
+# 20/15/38/31/53/129, 2x32^3 at 5^3 2.5/2.3/7.6/2.3/9.1/7.4, 4x256^2x2 at
+# 3^2 4.5/4.4/8.4/4.9/9.1/6.2; 4x48^2 at 5^2 and 4x1024 at 61 within 0.1 ms
+# of each other.  12, 24 and 32 lose on every large shape; 4 and 16 tie
+# with 8 on some shapes and lose on others.  The band sets
+# which windows share a GEMM, so changing it can move predicted bits (4
+# against 8 does on the 17^2 frame).
 BAND = 8
 
 

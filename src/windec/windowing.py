@@ -32,13 +32,15 @@ from .tensor import BatchTensor
 # predictor that copies its tile copies up to prod(W_1..W_{d-1}) times this.
 # On a 2-core Xeon with 2 MB of L2 per core, the learned stencil (one matmul
 # per 2-D tile, W_1 per 3-D tile, its band matrices built once, see
-# models.BAND) took 17.9/15.5/15.6/15.4 ms on a 4x256^2 frame at 17x17,
-# 26.3/29.4/29.8/31.4 ms on 2x48^3 at 9^3 and 9.0/8.3/8.1/8.1 ms on
+# models.BAND) took 8.4/7.0/6.1/6.1 ms on a 4x256^2 frame at 17x17,
+# 17.2/15.5/14.8/15.6 ms on 2x48^3 at 9^3 and 5.6/5.1/5.1/4.9 ms on
 # 2x32^3x2 at 5^3 with caps of 0.5/1/2/4 MB (medians of 9 interleaved rounds
-# of 10 calls; rounds spread by up to +-30%).  At 0.5 MB the 2-D frame is
-# slower and the 3-D one faster; above 1 MB nothing is gained beyond the
-# spread, while what a predictor holds per tile grows: the
-# learned stencil at 17x17 holds 404 KiB a tile at 1 MB and 703 KiB at 2 MB.
+# of 10 calls; rounds spread by up to 26%).  0.5 MB is slower everywhere.
+# 2 MB beats 1 MB by 13% on the 2-D frame and ties in 3-D, but what a
+# predictor holds per tile grows (the learned stencil at 17x17 holds 404 KiB
+# a tile at 1 MB and 703 KiB at 2 MB), and the cap also sizes the fit's
+# sample blocks (models._sample_blocks), so changing it reorders the fit's
+# Gram sums.
 TILE_BYTES = 1 << 20
 
 

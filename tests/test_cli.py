@@ -191,6 +191,21 @@ def test_eval_identity_on_static_dataset_r2_one(tmp_path):
         assert all(float(r["rel_l2"]) == 0.0 for r in rows)
 
 
+def test_eval_diffusion_stencil_reproduces_one_heat_substep(tmp_path):
+    # alpha dt / dx^2 = 0.2048 <= 1/4 is one explicit sub-step, whose 3x3
+    # stencil over a zero-extended tile is the generator's own update
+    cfg = write_config(tmp_path, {
+        "dataset": {"kind": "heat", "extents": [32, 32], "dx": 1 / 32, "dt": 2e-4,
+                    "alpha": 1.0, "c": None, "boundary": "zero-extension"},
+        "predictor": {"kind": "diffusion"},
+    })
+    assert main(["eval", "--config", str(cfg)]) == 0
+    for split in ("train", "test"):
+        rows = read_csv(tmp_path / "out" / f"metrics_{split}.csv")
+        assert rows, split
+        assert all(float(r["rel_l2"]) <= 1e-12 for r in rows), rows
+
+
 def test_eval_upwind_integer_courant_near_exact(tmp_path):
     cfg = write_config(tmp_path, {
         "dataset": {"extents": [128, 128], "dx": 1 / 128, "c": [1 / 128, 1 / 128],
@@ -371,6 +386,22 @@ def test_sweep_refuses_a_frequency_before_generating(tmp_path, capsys, monkeypat
     argv = ["sweep", "--config", str(cfg), "--windows", "3,5", f"--freqs={freq},1"]
     assert main(argv) == 1
     assert "config error: --freqs[0]: must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_checks_every_frequency_before_generating(tmp_path, capsys, monkeypatch):
+    # a harmonics bandwidth below base_freq holds no octave: an all-zero field
+    def generate(*args):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(cli, "generate_dataset", generate)
+    cfg = write_config(tmp_path, {
+        "dataset": {"extents": [64], "dx": 1 / 16, "c": [1 / 16],
+                    "ic": {"kind": "harmonics", "base_freq": 0.5}},
+    })
+    argv = ["sweep", "--config", str(cfg), "--windows", "3,5", "--freqs", "1,0.1"]
+    assert main(argv) == 1
+    assert "config error: --freqs[1]: ic.bandwidth: 0.1 " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -587,6 +618,8 @@ _TOO_MANY_VALUES = ("dataset.batch * dataset.extents * dataset.channels * "
     ({"ic": {"kind": "sine"}}, "dataset.ic.freq"),
     ({"ic": {"kind": "bumps"}}, "dataset.ic.n_bumps"),
     ({"ic": {"kind": "harmonics"}}, "dataset.ic.bandwidth"),
+    # no octave of base_freq fits under the bandwidth, so the field is all zeros
+    ({"ic": {"kind": "harmonics", "bandwidth": 0.1, "base_freq": 0.5}}, "dataset.ic.bandwidth"),
     ({"kind": "heat", "extents": [24], "c": None, "alpha": 0.1}, "dataset.extents"),
     ({"kind": "heat", "channels": 2, "c": None, "alpha": 0.1}, "dataset.channels"),
     ({"kind": "burgers", "channels": 1, "c": None, "nu": 0.01}, "dataset.channels"),

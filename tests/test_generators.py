@@ -101,6 +101,13 @@ def test_harmonic_field_deterministic_and_band_limited():
     assert spec[freqs > 2.0 + 1e-9].sum() <= 1e-20 * spec.sum()
 
 
+@pytest.mark.parametrize("bandwidth, base_freq", [(0.4, 0.5), (0.0, 0.5), (1.0, -0.5)])
+def test_harmonic_field_refuses_a_band_without_an_octave(bandwidth, base_freq):
+    # no octave would fit, and the field would be all zeros
+    with pytest.raises(DomainError, match="no octave"):
+        harmonic_field(3, Shape(1, (16,), 1), 0.25, bandwidth=bandwidth, base_freq=base_freq)
+
+
 # --- advect_exact ---------------------------------------------------------------
 
 
@@ -365,6 +372,8 @@ _BUMP = InitialCondition("bumps", n_bumps=1)
     ("heat", Shape(1, (8, 8), 1), GridPde(dx=0.1, dt=0.1, alpha=0.1),
      InitialCondition("bumps"), DomainError),
     ("advection", Shape(1, (8,), 1), GridPde(dx=0.1, dt=0.1), _BUMP, DomainError),
+    ("advection", Shape(1, (8,), 1), GridPde(dx=0.1, dt=0.1, c=(1.0,)),
+     InitialCondition("harmonics", bandwidth=0.4, base_freq=0.5), DomainError),
 ])
 def test_generate_refuses_unsupported_requests_without_steps(kind, grid, pde, ic, error):
     # no stepper runs at n_steps=0, so each is refused before any frame is built

@@ -39,7 +39,7 @@ from windec import (
     write_dataset,
 )
 from windec import models, windowing
-from windec.models import _solve_ridge
+from windec.models import _solve_primal, _solve_ridge
 from windec.windowing import window_view
 from oracles import (
     convolve_stencil_full,
@@ -396,6 +396,30 @@ def test_solve_ridge_without_ridge_needs_more_samples_than_features(n, p):
     x, y = random_regression(n, p)
     with pytest.raises(SingularSystem):
         _solve_ridge(x, y, 0.0)
+
+
+def test_primal_solve_refuses_weights_that_leave_a_residual():
+    # Wilkinson's matrix (1 on the diagonal, -1 below it, 1 in the last
+    # column) grows by 2**127 under partial-pivoting LU, so the solve and its
+    # refinement pass succeed but leave a residual far above 1e-8.  A centered
+    # Gram matrix reaches this check only through near-collinear features,
+    # where the residual rides on rounding luck.
+    n = 128
+    gram = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    gram[:, -1] = 1.0
+    cross = np.random.default_rng(0).standard_normal((n, 1))
+    with pytest.raises(SingularSystem, match="normal-equation residual"):
+        _solve_primal(gram, cross, 0.0)
+
+
+def test_solve_ridge_refuses_a_dual_system_that_rounds_to_singular():
+    # two centered samples v and -v give X X^T = [[1, -1], [-1, 1]]; a ridge
+    # below rounding leaves it exactly singular, so the inverse fails
+    x = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    y = np.array([[1.0], [0.0]])
+    with pytest.raises(SingularSystem, match="singular") as info:
+        _solve_ridge(x, y, 1e-30)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_learned_stencil_integration_matches_full_convolution():

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -31,3 +32,17 @@ def test_script_runs_and_writes_its_csv(tmp_path, script):
     assert proc.returncode == 0, proc.stderr
     with open(out / name, encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n") == header
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_script_runs_its_experiment_through_the_cli(script):
+    # an experiment drives windec.cli.main, so it runs the pipeline the CLI
+    # and the benchmark run, not a private copy of it
+    tree = ast.parse(script.read_text(encoding="utf-8"))
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "windec.cli"
+             for alias in node.names if alias.name == "main"}
+    assert names, "imports no main from windec.cli"
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert names & called, f"never calls {sorted(names)}"

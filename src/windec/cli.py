@@ -45,7 +45,7 @@ from .config import (
     parse_number_list,
     window_size,
 )
-from .errors import ConfigError, WindecError, WindowTooLarge
+from .errors import ConfigError, DomainError, WindecError, WindowTooLarge
 from .generators import (
     GENERATED,
     Dataset,
@@ -96,6 +96,13 @@ def _request(dc: DatasetConfig) -> tuple:
 
 def _generate(dc: DatasetConfig) -> Dataset:
     return generate_dataset(*_request(dc))
+
+
+def _check_frame_pairs(dc: DatasetConfig) -> None:
+    """``eval`` and ``sweep`` score frame pairs, so a dataset they generate needs two frames."""
+    if dc.n_steps < 1:
+        raise ConfigError(f"dataset.n_steps: evaluation needs at least 1 frame pair, "
+                          f"got {dc.n_steps}")
 
 
 def _split_pairs(n_pairs: int, fraction: float, seed: int) -> tuple[list[int], list[int]]:
@@ -237,13 +244,16 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_effective_config(args)
+    if not args.data:
+        _check_frame_pairs(cfg.dataset)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     ds = read_dataset(args.data) if args.data else _generate(cfg.dataset)
     timings["dataset"] = time.perf_counter() - t0
     if ds.n_steps < 1:
-        raise WindecError("evaluation needs at least 2 frames")
+        raise DomainError(f"{args.data}: evaluation needs at least 2 frames, "
+                          f"got {ds.n_steps + 1}")
 
     train_pairs, test_pairs = _split_pairs(ds.n_steps, cfg.split_fraction, cfg.seed)
     w = None
@@ -290,7 +300,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_effective_config(args)
     if cfg.dataset.kind != "advection":
-        raise ConfigError("sweep: dataset.kind must be advection")
+        raise ConfigError(f"dataset.kind: sweep needs advection, got {cfg.dataset.kind!r}")
+    _check_frame_pairs(cfg.dataset)
     base = cfg.dataset
 
     def freq_ic(value, where: str) -> tuple[float, InitialCondition]:

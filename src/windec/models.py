@@ -58,7 +58,6 @@ from .errors import (
 from .generators import Dataset, GridPde, check_payload, read_exact, replacing_file
 from .sizing import courant
 from .tensor import BatchTensor
-from . import windowing
 from .windowing import WindowSpec, window_view
 
 log = logging.getLogger(__name__)
@@ -395,59 +394,56 @@ def _check_ridge(n: int, p: int, lam: float) -> None:
         )
 
 
-def _check_residual(a: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
-    b_norm = float(np.linalg.norm(b))
-    resid = float(np.linalg.norm(a @ w - b))
-    if b_norm > 0 and resid / b_norm > 1e-8:
-        raise SingularSystem(
-            f"normal-equation residual {resid / b_norm:.3g} > 1e-8; "
-            "increase ridge_lambda"
-        )
+def _solve_normal(a: np.ndarray, b: np.ndarray, lam: float, invert: bool = False) -> np.ndarray:
+    """Solution w of (a + lam I) w = b, by one solve and one refinement pass.
 
-
-def _solve_primal(gram: np.ndarray, cross: np.ndarray, lam: float) -> np.ndarray:
-    """Weights w of (X^T X + lam I) w = X^T y from the centered ``gram`` and
-    ``cross`` products, by LU solve and one refinement pass.
-
-    Adds lam to ``gram``'s diagonal in place, so no second p x p matrix
-    exists beside the LU factors.  Raises SingularSystem when the solve fails
-    or leaves a relative residual above 1e-8.
+    Adds lam to ``a``'s diagonal in place, so no second copy of the matrix
+    exists beside its factors.  Solves by LU (``np.linalg.solve``) or, with
+    ``invert``, by one inverse applied by GEMM, for both the solve and the
+    refinement.  Raises SingularSystem when the factorization fails or the
+    relative residual ||(a + lam I) w - b|| / ||b|| is above 1e-8 or not
+    finite, as it is when the products overflowed.
     """
-    gram.reshape(-1)[::gram.shape[0] + 1] += lam  # the diagonal, in place
+    a.reshape(-1)[::a.shape[0] + 1] += lam  # the diagonal, in place
     try:
-        w = np.linalg.solve(gram, cross)
-        w += np.linalg.solve(gram, cross - gram @ w)
+        solve = (functools.partial(np.matmul, np.linalg.inv(a)) if invert
+                 else functools.partial(np.linalg.solve, a))
+        w = solve(b)
+        w += solve(b - a @ w)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("normal equations are singular; increase ridge_lambda") from exc
-    _check_residual(gram, w, cross)
+    resid = float(np.linalg.norm(a @ w - b)) / (float(np.linalg.norm(b)) or 1.0)
+    if not resid <= 1e-8:  # NaN fails this test too
+        raise SingularSystem(f"normal-equation residual {resid:.3g} > 1e-8; increase ridge_lambda")
     return w
 
 
 def _solve_ridge(
     x: np.ndarray, y: np.ndarray, lam: float
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Centered ridge normal equations with one refinement pass.
+    """Centered ridge normal equations, solved by :func:`_solve_normal`.
 
     Returns (factors, xm, ym): the weights are the product of ``factors`` and
     the prediction of ``x`` is ``(x - xm) @ weights + ym``, which leaves the
     bias unpenalized.  With n samples and p features the solve runs in the
     smaller space: the p x p system (X^T X + lam I) w = X^T y when n >= p,
-    with factors ``(w,)`` (:func:`_solve_primal`); otherwise the n x n
-    system (X X^T + lam I) a = y, with factors ``(X^T, a)`` by the identity
+    with factors ``(w,)``; otherwise the n x n system (X X^T + lam I) a = y,
+    with factors ``(X^T, a)`` by the identity
     (X^T X + lam I)^-1 X^T = X^T (X X^T + lam I)^-1.  The dual factors are
     both n x p, so the p x p weights are never formed.
 
     The dual system is n x n with as many right-hand sides as features
     (c09: 16 x 16 against 2304), and LAPACK's LU solve pays per right-hand
-    side.  So the dual branch inverts the matrix once and applies the
-    inverse by GEMM for both the solve and the refinement: 0.26-0.35 ms at
-    c09's size on a 2-core Xeon, where two LU solves take 1.4-1.6 ms.  The
-    primal system has p unknowns and one right-hand side per channel, where
-    the inverse loses (p = 289, one channel: 3.5-3.8 ms against 1.8-2.2 ms),
-    so it keeps ``np.linalg.solve``.
+    side.  So the dual system is inverted once and the inverse applied by
+    GEMM for both the solve and the refinement: 0.26-0.35 ms at c09's size
+    on a 2-core Xeon, where two LU solves take 1.4-1.6 ms.  The primal
+    system has p unknowns and one right-hand side per channel, where the
+    inverse loses (p = 289, one channel: 3.5-3.8 ms against 1.8-2.2 ms), so
+    it keeps the LU solve.
 
-    Raises DomainError for lam < 0, and SingularSystem when lam == 0 and the
-    system is rank deficient, which always holds for lam == 0 when n <= p.
+    Raises DomainError for lam < 0, and SingularSystem for lam == 0 with
+    n <= p, which is always rank deficient, and for a solve that fails or
+    leaves a relative residual above 1e-8 or not finite (products overflow).
 
     Takes ownership of ``x`` and ``y``: they are centered in place, so no
     second n x p array exists, and the dual factor ``X^T`` is a view of the
@@ -460,20 +456,16 @@ def _solve_ridge(
     x -= xm
     y -= ym
     if n >= p:
-        return (_solve_primal(x.T @ x, x.T @ y, lam),), xm, ym
-    a = x @ x.T + lam * np.eye(n)
-    try:
-        a_inv = np.linalg.inv(a)
-        w = a_inv @ y
-        w = w + a_inv @ (y - a @ w)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("normal equations are singular; increase ridge_lambda") from exc
-    _check_residual(a, w, y)
-    return (x.T, w), xm, ym
+        return (_solve_normal(x.T @ x, x.T @ y, lam),), xm, ym
+    return (x.T, _solve_normal(x @ x.T, y, lam, invert=True)), xm, ym
 
 
-def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarray:
-    """The frame pairs (t, t + 1) to train on: all of them, or ``pair_indices``."""
+def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None,
+                    sample_budget: int) -> np.ndarray:
+    """The frame pairs (t, t + 1) to train on: all of them, or ``pair_indices``;
+    checked, with ``sample_budget``, before a fit reads a frame."""
+    if sample_budget < 1:
+        raise DomainError("sample_budget must be >= 1")
     if ds.n_steps < 1:
         raise DomainError("training needs at least 2 frames")
     if pair_indices is None:
@@ -486,6 +478,12 @@ def _training_pairs(ds: Dataset, pair_indices: Sequence[int] | None) -> np.ndarr
     if pairs.min() < 0 or pairs.max() >= ds.n_steps:
         raise DomainError(f"pair indices out of range [0, {ds.n_steps})")
     return pairs
+
+
+# Most bytes of windows in one gathered sample block.  It sets the order of
+# the streamed fit's Gram sums, and so its bits; windowing.TILE_BYTES sizes
+# prediction tiles alone.
+SAMPLE_BLOCK_BYTES = 1 << 20
 
 
 def _sample_blocks(
@@ -502,20 +500,18 @@ def _sample_blocks(
     increasing order, as ``(rows, x, y)`` blocks: the sample indices
     ``rows`` of one frame pair, their windows ``x`` as fresh
     ``rows.size x prod(W_i)*N_c`` rows, and their next center values ``y``.
-    A block holds at most ``TILE_BYTES`` of windows, or ``min_rows`` windows
-    where those take more.  The frames are read one at a time with
+    A block holds at most ``SAMPLE_BLOCK_BYTES`` of windows, or ``min_rows``
+    windows where those take more.  The frames are read one at a time with
     :meth:`Dataset.frame`: for each frame pair t, frame t + 1 gives the
     next center values of all its samples, then frame t their windows, so
     a fit holds one frame of a file.  Every block is a copy, so none
     depends on a frame buffer the next read reuses.
     """
-    pairs = _training_pairs(ds, pair_indices)
+    pairs = _training_pairs(ds, pair_indices, sample_budget)
     if w.ndim != ds.grid.ndim:
         raise ShapeMismatchError(
             f"window rank {w.ndim} does not match grid rank {ds.grid.ndim}"
         )
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
     radius = np.asarray(w.radius)
     highs = tuple(n - r for n, r in zip(ds.grid.spatial, w.radius))
     if any(hi <= lo for lo, hi in zip(w.radius, highs)):
@@ -530,7 +526,7 @@ def _sample_blocks(
         axis=1,
     )
     n_features = w.cells * ds.grid.channels
-    step = max(min_rows, windowing.TILE_BYTES // (n_features * 8))
+    step = max(min_rows, SAMPLE_BLOCK_BYTES // (n_features * 8))
 
     def blocks():
         for t in np.unique(ts):
@@ -559,8 +555,8 @@ def sample_training_pairs(
     Cells are sampled uniformly over frame pairs, batch items, and interior
     positions at least half a window from every boundary, so each feature
     vector is a fully in-domain window.  Windows are gathered straight into
-    the returned ``x``, at most ``TILE_BYTES`` of them per gather, so no
-    second copy of the samples exists on the way.
+    the returned ``x``, at most ``SAMPLE_BLOCK_BYTES`` of them per gather, so
+    no second copy of the samples exists on the way.
     """
     blocks = _sample_blocks(ds, w, sample_budget, seed, pair_indices)
     x = np.empty((sample_budget, w.cells * ds.grid.channels))
@@ -623,8 +619,8 @@ def fit_stencil(
 
     The samples are those :func:`sample_training_pairs` draws.  With at
     least as many samples as features p = prod(W_i) * N_c the fit streams
-    them: it gathers at most ``TILE_BYTES`` of windows, or p windows where
-    those take more, at a time into the centered p x p normal equations
+    them: it gathers at most ``SAMPLE_BLOCK_BYTES`` of windows, or p windows
+    where those take more, at a time into the centered p x p normal equations
     (:func:`_centered_products`), so its memory is two p x p arrays and one
     block, whatever the budget.  With fewer samples than features it holds
     the samples and solves in sample space (:func:`_solve_ridge`).
@@ -639,6 +635,7 @@ def fit_stencil(
     ``OPENBLAS_NUM_THREADS=1``.
     """
     p = w.cells * ds.grid.channels
+    _check_ridge(sample_budget, p, ridge_lambda)
     if sample_budget < p:
         x, y = sample_training_pairs(ds, w, sample_budget, seed, pair_indices)
         factors, xm, ym = _solve_ridge(x, y, ridge_lambda)
@@ -650,9 +647,8 @@ def fit_stencil(
         # fit 122 and 82 ms (82 ms holding all samples) for a traced peak of
         # 9.5 and 12.4 MiB
         blocks = _sample_blocks(ds, w, sample_budget, seed, pair_indices, min_rows=p)
-        _check_ridge(sample_budget, p, ridge_lambda)
         gram, cross, xm, ym = _centered_products(blocks, p, ds.grid.channels)
-        weights = _solve_primal(gram, cross, ridge_lambda)
+        weights = _solve_normal(gram, cross, ridge_lambda)
     return LearnedStencil(w, weights, ym - xm @ weights, ridge_lambda)
 
 
@@ -669,15 +665,14 @@ def fit_global_linear(
     the usable sample count is capped by the data; the budget subsamples
     when more pairs are available than requested.
     """
-    pairs = _training_pairs(ds, pair_indices)
-    if sample_budget < 1:
-        raise DomainError("sample_budget must be >= 1")
+    pairs = _training_pairs(ds, pair_indices, sample_budget)
     combos = [(t, b) for t in pairs for b in range(ds.grid.batch)]
     rng = np.random.default_rng(seed)
     if len(combos) > sample_budget:
         keep = rng.choice(len(combos), size=sample_budget, replace=False)
         combos = [combos[i] for i in sorted(keep)]
     n_flat = math.prod(ds.grid.dims[1:])
+    _check_ridge(len(combos), n_flat, ridge_lambda)
     x = np.empty((len(combos), n_flat))
     y = np.empty((len(combos), n_flat))
     rows: dict[int, list[tuple[int, int]]] = {}  # pair -> its (sample, batch item)s

@@ -38,9 +38,7 @@ from .tensor import BatchTensor
 # of 10 calls; rounds spread by up to 26%).  0.5 MB is slower everywhere.
 # 2 MB beats 1 MB by 13% on the 2-D frame and ties in 3-D, but what a
 # predictor holds per tile grows (the learned stencil at 17x17 holds 404 KiB
-# a tile at 1 MB and 703 KiB at 2 MB), and the cap also sizes the fit's
-# sample blocks (models._sample_blocks), so changing it reorders the fit's
-# Gram sums.
+# a tile at 1 MB and 703 KiB at 2 MB).
 TILE_BYTES = 1 << 20
 
 

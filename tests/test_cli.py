@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -24,9 +25,15 @@ from windec import (
     sin_field,
     write_dataset,
 )
-from windec import StabilityError, cli, generators
+from windec import ConfigError, DomainError, StabilityError, cli, generators
 from windec.cli import build_parser, main
-from windec.config import DatasetConfig, ExperimentConfig, PredictorConfig, load_config
+from windec.config import (
+    DatasetConfig,
+    ExperimentConfig,
+    PredictorConfig,
+    load_config,
+    parse_number_list,
+)
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -740,6 +747,95 @@ def test_split_without_training_pairs_is_config_error(tmp_path, capsys, argv, ki
     assert main([*argv, "--config", str(cfg)]) == 1
     assert "config error: split_fraction: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SWEEP = ["sweep", "--windows", "3,5", "--freqs", "1,2"]
+
+
+# refused from the config alone: exit 1 before anything is generated or written
+@pytest.mark.parametrize("argv, dataset, field", [
+    (_SWEEP, {"kind": "heat", "c": None, "alpha": 0.1}, "dataset.kind"),
+    (["eval"], {"n_steps": 0}, "dataset.n_steps"),
+    (_SWEEP, {"n_steps": 0}, "dataset.n_steps"),
+], ids=["sweep-heat", "eval-one-frame", "sweep-one-frame"])
+def test_commands_refuse_a_config_before_generating(tmp_path, capsys, monkeypatch, argv,
+                                                     dataset, field):
+    def generate(*args):
+        raise AssertionError("generated a dataset")
+    monkeypatch.setattr(cli, "generate_dataset", generate)
+    cfg = write_config(tmp_path, {"dataset": dataset,
+                                  "predictor": {"kind": "stencil", "sample_budget": 64}})
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_data_refuses_a_one_frame_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dataset": {"n_steps": 0}})
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    data = tmp_path / "data" / "dataset.ddld"
+    argv = ["eval", "--config", str(cfg), "--data", str(data)]
+    with pytest.raises(DomainError, match="needs at least 2 frames, got 1"):
+        cli.cmd_eval(build_parser("eval").parse_args(argv))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {data}: evaluation needs at least 2 frames, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["stencil", "global"])
+def test_eval_data_refuses_a_fit_whose_products_overflow(tmp_path, capsys, kind):
+    # values near 1e200 overflow the normal equations: a NaN residual is refused
+    rng = np.random.default_rng(30)
+    frames = [BatchTensor(1e200 * rng.standard_normal((2, 8, 8, 1))) for _ in range(5)]
+    data = tmp_path / "big.ddld"
+    write_dataset(data, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
+    cfg = write_config(tmp_path, {"predictor": {"kind": kind, "sample_budget": 64}})
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 2
+    assert "error: normal-equation residual nan > 1e-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_MISSING = object()
+
+
+def _parse_with(path: str, value):
+    """``ExperimentConfig.parse`` of a valid config with the dotted field
+    ``path`` set to ``value``, or deleted when it is ``_MISSING``."""
+    raw = {"dataset": {"kind": "advection", "extents": [8, 8], "dx": 0.125, "dt": 0.1,
+                       "c": [0.5, 0.0], "ic": {"kind": "sine", "freq": 1.0}}}
+    *parents, key = path.split(".")
+    node = functools.reduce(dict.__getitem__, parents, raw)
+    if value is _MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    return ExperimentConfig.parse(raw)
+
+
+# each refusal names the field it refuses, first in its message
+@pytest.mark.parametrize("call, field", [
+    (functools.partial(_parse_with, "dataset.dx", _MISSING), "dataset.dx"),
+    (functools.partial(_parse_with, "dataset.dx", "0.1"), "dataset.dx"),
+    (functools.partial(parse_number_list, "3,x", "--window"), "--window"),
+    (functools.partial(_parse_with, "dataset.ic.width_fraction_range", [0.1]),
+     "dataset.ic.width_fraction_range"),
+    (functools.partial(_parse_with, "dataset.ic.center_margin", 0.5), "dataset.ic.center_margin"),
+    (functools.partial(_parse_with, "dataset.extents", []), "dataset.extents"),
+    (functools.partial(_parse_with, "dataset.c", [0.5]), "dataset.c"),
+    (functools.partial(_parse_with, "predictor", {"kind": "cubic"}), "predictor.kind"),
+    (functools.partial(ExperimentConfig.parse, [1, 2]), "top level"),
+    (functools.partial(_parse_with, "dataset", [1, 2]), "dataset"),
+    (functools.partial(_parse_with, "window", 5), "window"),
+    (functools.partial(_parse_with, "split_fraction", 1.0), "split_fraction"),
+], ids=["missing", "not-a-number", "number-list", "width-range", "center-margin",
+        "empty-extents", "speeds", "predictor-kind", "top-level", "dataset-object", "window",
+        "split"])
+def test_config_refuses_what_it_cannot_parse(call, field):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value).startswith(f"{field}: ")
 
 
 @pytest.mark.parametrize("argv", [["eval"], ["sweep", "--windows", "3,5", "--freqs", "1,2"]])

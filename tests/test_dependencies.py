@@ -2,8 +2,9 @@
 
 Every third-party module the tests import is declared, no source file uses
 syntax newer than ``requires-python``, every strided view the library takes
-is read-only, and only the command line and the package import the window
-decomposition that the acceptance gate checks.
+is read-only, every error the library raises is a ``WindecError`` subclass,
+and only the command line and the package import the window decomposition
+that the acceptance gate checks.
 """
 
 import ast
@@ -116,6 +117,53 @@ def test_library_takes_only_read_only_strided_views():
     found = [f"{p.relative_to(ROOT)}:{line}" for p in paths
              for line in _writable_strided_views(p.read_text(encoding="utf-8"))]
     assert not found, f"as_strided without writeable=False: {found}"
+
+
+class _Raises(ast.NodeVisitor):
+    """``(scope, exception, line)`` of each ``raise`` that names an exception:
+    ``scope`` is the dotted path of enclosing classes and functions, and
+    ``exception`` the source of the raised class or instance."""
+
+    def __init__(self, source: str):
+        self.scope, self.found = [], []
+        self.visit(ast.parse(source))
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        if node.exc is not None:  # a bare raise re-raises what was caught
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            self.found.append((".".join(self.scope), ast.unparse(exc), node.lineno))
+
+
+# the two raises that are not library errors: argparse turns the first into
+# a usage error, and ``_FrameFile`` is a Sequence, whose iteration ends at
+# the IndexError of the first index past its end
+_FOREIGN_RAISES = {("_nonempty", "argparse.ArgumentTypeError"),
+                   ("_FrameFile.__getitem__", "IndexError")}
+
+
+def test_library_raises_only_windec_errors():
+    # the CLI tells configuration errors (exit 1) and runtime errors (exit 2)
+    # from bugs by type, so a bare WindecError or a builtin error is a slip
+    from windec import errors
+
+    assert _Raises(
+        "def f():\n    raise ValueError('x')\nclass A:\n    def g(self):\n"
+        "        raise\n        raise E from None\n        raise m.F(1) from exc"
+    ).found == [("f", "ValueError", 2), ("A.g", "E", 6), ("A.g", "m.F", 7)]
+    library = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+               and issubclass(obj, errors.WindecError) and obj is not errors.WindecError}
+    paths = sorted((ROOT / "src" / "windec").glob("*.py"))
+    found = [f"{p.name}:{line} {scope} raises {exc}" for p in paths
+             for scope, exc, line in _Raises(p.read_text(encoding="utf-8")).found
+             if exc not in library and (scope, exc) not in _FOREIGN_RAISES]
+    assert not found, f"raises outside the WindecError subclasses: {found}"
 
 
 def _windec_modules_imported(source: str) -> set[str]:

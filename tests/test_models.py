@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from windec import (
     StabilityError,
     UpwindStencil,
     WindowSpec,
+    WindowTooLarge,
     WindowTooSmall,
     fit_global_linear,
     fit_stencil,
@@ -39,7 +41,7 @@ from windec import (
     write_dataset,
 )
 from windec import models, windowing
-from windec.models import _solve_primal, _solve_ridge
+from windec.models import _solve_normal, _solve_ridge
 from windec.windowing import window_view
 from oracles import (
     convolve_stencil_full,
@@ -324,12 +326,27 @@ def test_fit_stencil_weights_equal_primal_normal_equation_solve():
     assert len(blocks) == ds.n_steps
 
 
-# 97 samples of windows a tile; 10 a tile, so p = 25 samples a block
-@pytest.mark.parametrize("tile_bytes, step", [(97 * 25 * 8 + 5, 97), (10 * 25 * 8, 25)])
-def test_fit_stencil_sums_the_blocks_it_gathers(monkeypatch, tile_bytes, step):
-    monkeypatch.setattr(windowing, "TILE_BYTES", tile_bytes)
+def count_sample_blocks(monkeypatch) -> list[int]:
+    """Patch ``models._sample_blocks`` to record the size of each block it yields."""
+    seen = []
+    real = models._sample_blocks
+
+    def spy(*args, **kwargs):
+        for block in real(*args, **kwargs):
+            seen.append(block[0].size)
+            yield block
+    monkeypatch.setattr(models, "_sample_blocks", spy)
+    return seen
+
+
+# 97 samples of windows a block; 10 a block, so p = 25 samples a block
+@pytest.mark.parametrize("block_bytes, step", [(97 * 25 * 8 + 5, 97), (10 * 25 * 8, 25)])
+def test_fit_stencil_sums_the_blocks_it_gathers(monkeypatch, block_bytes, step):
+    monkeypatch.setattr(models, "SAMPLE_BLOCK_BYTES", block_bytes)
+    seen = count_sample_blocks(monkeypatch)
     blocks, ds = assert_fit_equals_block_oracle(step)
-    assert len(blocks) > ds.n_steps
+    assert len(seen) == len(blocks) > ds.n_steps
+    assert max(seen) == step
 
 
 def frame_pairs(ds, pairs):
@@ -409,7 +426,7 @@ def test_primal_solve_refuses_weights_that_leave_a_residual():
     gram[:, -1] = 1.0
     cross = np.random.default_rng(0).standard_normal((n, 1))
     with pytest.raises(SingularSystem, match="normal-equation residual"):
-        _solve_primal(gram, cross, 0.0)
+        _solve_normal(gram, cross, 0.0)
 
 
 def test_solve_ridge_refuses_a_dual_system_that_rounds_to_singular():
@@ -517,7 +534,8 @@ def test_sample_training_pairs_matches_per_sample_loop(sizes, extents, channels,
 
 def test_sample_training_pairs_gathers_a_few_windows_at_a_time(monkeypatch):
     # 3 windows of 3 x 5 x 2 values per gather: many per frame pair, the last ragged
-    monkeypatch.setattr(windowing, "TILE_BYTES", 3 * 30 * 8 + 7)
+    monkeypatch.setattr(models, "SAMPLE_BLOCK_BYTES", 3 * 30 * 8 + 7)
+    seen = count_sample_blocks(monkeypatch)
     rng = np.random.default_rng(23)
     frames = tuple(BatchTensor(rng.standard_normal((2, 12, 15, 2))) for _ in range(4))
     ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
@@ -526,6 +544,7 @@ def test_sample_training_pairs_gathers_a_few_windows_at_a_time(monkeypatch):
     want_x, want_y = sample_pairs_loop(ds, w, 100, seed=6)
     assert np.array_equal(x, want_x)
     assert np.array_equal(y, want_y)
+    assert max(seen) == 3 and len(seen) > ds.n_steps
 
 
 @pytest.mark.parametrize("dims, sizes", [
@@ -547,7 +566,7 @@ def test_fit_stencil_holds_one_copy_of_the_samples(dims, sizes):
     finally:
         tracemalloc.stop()
     p = w.cells
-    assert peak < 4096 * p * 8 + 3 * p * p * 8 + windowing.TILE_BYTES
+    assert peak < 4096 * p * 8 + 3 * p * p * 8 + models.SAMPLE_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("dims, sizes", [
@@ -557,7 +576,7 @@ def test_fit_stencil_holds_one_copy_of_the_samples(dims, sizes):
 def test_fit_stencil_memory_does_not_scale_with_sample_budget(dims, sizes):
     # the fit streams its samples into the p x p normal equations: the Gram,
     # one block's product or the LU copy of the Gram, and one block of at
-    # most max(TILE_BYTES, p samples); only the n-long index draws grow
+    # most max(SAMPLE_BLOCK_BYTES, p samples); only the n-long index draws grow
     rng = np.random.default_rng(24)
     frames = tuple(BatchTensor(rng.standard_normal(dims)) for _ in range(3))
     ds = Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0)
@@ -572,7 +591,7 @@ def test_fit_stencil_memory_does_not_scale_with_sample_budget(dims, sizes):
             peaks[budget] = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    bound = 4 * p * p * 8 + 2 * windowing.TILE_BYTES
+    bound = 4 * p * p * 8 + 2 * models.SAMPLE_BLOCK_BYTES
     assert peaks[4096] < bound and peaks[16384] < bound
     # the 12288 extra samples' rows alone would take 12288 * p * 8 bytes
     assert peaks[16384] - peaks[4096] < 12288 * p * 8 / 20
@@ -621,7 +640,7 @@ def test_fit_stencil_on_a_file_holds_one_frame(tmp_path, sizes):
     frame, p = frames[0].data.nbytes, w.cells
     # the margin takes the index draws, the finiteness check's mask and the
     # 8 KiB read buffer; a second frame would not fit in it
-    assert peak < frame + 2 * p * p * 8 + windowing.TILE_BYTES + 0.5 * frame
+    assert peak < frame + 2 * p * p * 8 + models.SAMPLE_BLOCK_BYTES + 0.5 * frame
 
 
 @pytest.mark.parametrize("lam", [1e-8, 0.1])
@@ -762,6 +781,83 @@ def test_fits_reject_bad_pair_indices(fit, pairs):
     ds = advection_dataset(extents=(12, 12))
     with pytest.raises(DomainError):
         fit(ds, pairs)
+
+
+def small_dataset(scale=1.0, frames=4):
+    """``frames`` random 2 x 8^2 frames times ``scale``."""
+    rng = np.random.default_rng(28)
+    return Dataset("external", [BatchTensor(scale * rng.standard_normal((2, 8, 8, 1)))
+                                for _ in range(frames)], GridPde(dx=1.0, dt=1.0), seed=0)
+
+
+def scaled_regression(n, p):
+    x, y = random_regression(n, p)
+    return x * 1e200, y
+
+
+# products of values near 1e200 overflow, so the normal equations hold inf and
+# their solution NaN; before, the NaN residual passed the 1e-8 test, the global
+# fit returned a model with a non-finite factor and the stencil fits stopped
+# at LearnedStencil's finiteness check
+@pytest.mark.parametrize("fit", [
+    lambda: _solve_ridge(*scaled_regression(8, 20), 1e-8),
+    lambda: _solve_ridge(*scaled_regression(40, 5), 1e-8),
+    lambda: fit_global_linear(small_dataset(1e200)),
+    lambda: fit_stencil(small_dataset(1e200), WindowSpec((3, 3)), sample_budget=4),
+    lambda: fit_stencil(small_dataset(1e200), WindowSpec((3, 3)), sample_budget=64),
+], ids=["dual", "primal", "global", "held-stencil", "streamed-stencil"])
+def test_fits_refuse_a_residual_that_is_not_finite(fit):
+    with np.errstate(all="ignore"), pytest.raises(SingularSystem,
+                                                  match="normal-equation residual nan"):
+        fit()
+
+
+@pytest.mark.parametrize("fit", [
+    lambda ds: fit_stencil(ds, WindowSpec((3, 3)), ridge_lambda=0.0, sample_budget=4),
+    lambda ds: fit_stencil(ds, WindowSpec((3, 3)), ridge_lambda=0.0, sample_budget=9),
+    lambda ds: fit_global_linear(ds, ridge_lambda=0.0),
+], ids=["held-stencil", "streamed-stencil", "global"])
+def test_fits_refuse_no_ridge_before_reading_a_frame(tmp_path, monkeypatch, fit):
+    # 4 samples for 9 features, 9 for 9, and 6 frame pairs for 64 values
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, small_dataset())
+    ds = read_dataset(path)
+    reads = []
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: reads.append(offset)
+                        or preadv(fd, buffers, offset))
+    with pytest.raises(SingularSystem, match="without ridge"):
+        fit(ds)
+    assert reads == []
+
+
+# each refusal names what it refuses
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: UpwindStencil(GridPde(dx=1.0, dt=1.0), WindowSpec((3, 3))), DomainError,
+     "speeds c"),
+    (lambda: UpwindStencil(GridPde(dx=1.0, dt=1.0, c=(0.5,)), WindowSpec((3, 3))),
+     ShapeMismatchError, "c has 1 components"),
+    (lambda: LearnedStencil(WindowSpec((3, 3)), np.zeros((8, 1)), np.zeros(1), 0.0),
+     ShapeMismatchError, "weights"),
+    (lambda: LearnedStencil(WindowSpec((3, 3)), np.full((9, 1), np.nan), np.zeros(1), 0.0),
+     DomainError, "weights"),
+    (lambda: fit_global_linear(small_dataset()).predict_frame(
+        BatchTensor(np.zeros((2, 8, 9, 1)))), ShapeMismatchError, "frame"),
+    (lambda: fit_stencil(small_dataset(frames=1), WindowSpec((3, 3))), DomainError, "2 frames"),
+    (lambda: fit_global_linear(small_dataset(frames=1)), DomainError, "2 frames"),
+    (lambda: fit_stencil(small_dataset(), WindowSpec((3,))), ShapeMismatchError, "window rank"),
+    (lambda: fit_stencil(small_dataset(), WindowSpec((3, 17))), WindowTooLarge,
+     r"window \(3, 17\)"),
+    (lambda: fit_stencil(small_dataset(), WindowSpec((3, 3)), sample_budget=0), DomainError,
+     "sample_budget"),
+    (lambda: fit_global_linear(small_dataset(), sample_budget=0), DomainError, "sample_budget"),
+    (lambda: rel_l2(np.zeros(3), np.zeros(4)), ShapeMismatchError, "prediction"),
+], ids=["upwind-no-c", "upwind-c-rank", "weights-shape", "weights-nan", "frame-shape",
+        "stencil-one-frame", "global-one-frame", "window-rank", "window-too-large",
+        "stencil-budget", "global-budget", "metric-shapes"])
+def test_models_refuse_what_they_cannot_use(call, error, field):
+    with pytest.raises(error, match=field):
+        call()
 
 
 def test_local_beats_global_on_advection():

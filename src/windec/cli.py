@@ -48,6 +48,7 @@ from .config import (
 from .errors import ConfigError, DomainError, WindecError, WindowTooLarge
 from .generators import (
     GENERATED,
+    MAX_SEED,
     Dataset,
     GridPde,
     InitialCondition,
@@ -326,7 +327,8 @@ def cmd_sweep(args) -> int:
     d = len(base.extents)
     rows = []
     for fi, (freq, ic) in enumerate(freqs):
-        ds = _generate(replace(base, ic=ic, seed=base.seed + 1000 * fi))
+        # seeds wrap at 2**64, so every dataset.seed the config accepts runs
+        ds = _generate(replace(base, ic=ic, seed=(base.seed + 1000 * fi) % (MAX_SEED + 1)))
         train_pairs, test_pairs = _split_pairs(ds.n_steps, cfg.split_fraction, cfg.seed)
         for wcells in windows:
             w = WindowSpec.cube(wcells, d)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, WindecError
-from .generators import IC_PARAMETER, InitialCondition, check_ic, check_request
+from .generators import IC_PARAMETER, MAX_SEED, InitialCondition, check_ic, check_request
 
 _PREDICTOR_KINDS = ("identity", "upwind", "diffusion", "stencil", "global")
 # Most float64 values a generated dataset may hold over all its frames (eval
@@ -49,11 +49,14 @@ def _number(value, where: str, positive: bool = False) -> float:
     return v
 
 
-def _integer(value, where: str, minimum: int | None = None) -> int:
+def _integer(value, where: str, minimum: int | None = None,
+             maximum: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -188,7 +191,7 @@ class DatasetConfig:
             boundary=boundary,
             ic=_parse_ic(raw.get("ic", {}), f"{where}.ic"),
             n_steps=n_steps,
-            seed=_integer(raw.get("seed", cls.seed), f"{where}.seed", 0),
+            seed=_integer(raw.get("seed", cls.seed), f"{where}.seed", 0, MAX_SEED),
         )
 
     def check_ic(self) -> None:

@@ -12,9 +12,10 @@ Three steppers produce frame sequences on periodic or bounded grids:
   scalar fields with periodic, zero-extension, or insulated boundaries.
 
 :func:`check_request` and :func:`check_ic` alone decide what can be generated;
-the config parser calls them too.  Datasets serialize to a little-endian
-binary container (see :func:`write_dataset`) that round-trips every float
-bit-exactly.
+the config parser calls them too, and each stepper calls :func:`check_request`
+for its own kind.  Datasets serialize to a little-endian binary container (see
+:func:`write_dataset`) that round-trips every float bit-exactly; the writer
+refuses what the reader would refuse or read back changed.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .errors import (
     ShapeMismatchError,
     StabilityError,
     UnsupportedBoundary,
+    WindecError,
 )
-from .tensor import BatchTensor, Shape
+from .tensor import MAX_SPATIAL_RANK, BatchTensor, Shape
 
 BOUNDARIES = ("periodic", "zero-extension", "insulated")
 DATASET_MAGIC = b"DDLD"
@@ -48,6 +50,7 @@ DATASET_VERSION = 1
 _KIND_CODES = {"advection": 0, "burgers": 1, "heat": 2, "external": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _MAX_SUBSTEPS = 10**7
+MAX_SEED = 2**64 - 1  # the largest seed a dataset file holds (a u64)
 
 
 class Generated(NamedTuple):
@@ -362,11 +365,8 @@ def advect_exact(u0: BatchTensor, pde: GridPde, t: float) -> BatchTensor:
     any field.  Fractional shifts use the spectral phase factor, exact for
     band-limited fields.
     """
-    if pde.boundary != "periodic":
-        raise UnsupportedBoundary("advect_exact requires a periodic boundary")
-    if pde.c is None:
-        raise DomainError("advect_exact requires transport speeds c")
     d = u0.ndim
+    check_request("advection", d, u0.channels, pde.boundary, vars(pde))
     if len(pde.c) != d:
         raise RankError(f"c has {len(pde.c)} components for a rank-{d} grid")
     shifts = [ci * t / pde.dx for ci in pde.c]
@@ -417,10 +417,7 @@ def heat_step(field_t: BatchTensor, pde: GridPde) -> BatchTensor:
     never exceeds 1/(2d); the caller-visible dt is unrestricted.
     """
     d = field_t.ndim
-    if field_t.channels != 1:
-        raise DomainError("heat_step expects a single-channel scalar field")
-    if d < 2:
-        raise RankError("heat_step supports 2D and 3D grids")
+    check_request("heat", d, field_t.channels, pde.boundary, vars(pde))
     if pde.alpha == 0.0:
         return BatchTensor(field_t.data.copy())
     total = pde.alpha * pde.dt / pde.dx**2
@@ -441,10 +438,7 @@ def burgers_step(u: BatchTensor, pde: GridPde) -> BatchTensor:
     is then a convex combination of old ones, so max|u| never grows.
     Periodic boundary only.
     """
-    if u.ndim != 2 or u.channels != 2:
-        raise DomainError("burgers_step expects a 2D field with 2 channels")
-    if pde.boundary != "periodic":
-        raise UnsupportedBoundary("burgers_step requires a periodic boundary")
+    check_request("burgers", u.ndim, u.channels, pde.boundary, vars(pde))
     vmax = float(np.max(np.abs(u.data)))
     n_sub = _substeps(2 * vmax * pde.dt / pde.dx + 4 * pde.nu * pde.dt / pde.dx**2, 1.0)
     dt = pde.dt / n_sub
@@ -528,6 +522,8 @@ def _generated(
     check_ic(ic)
     if n_steps < 0:
         raise DomainError("n_steps must be >= 0")
+    if not 0 <= seed <= MAX_SEED:
+        raise DomainError(f"seed: must be in [0, {MAX_SEED}], got {seed}")
     meta = {"ic": ic.kind}
     if ic.freq is not None:
         meta["ic_freq"] = repr(float(ic.freq))
@@ -615,6 +611,20 @@ def read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
+def read_header(fh: BinaryIO, fmt: str, magic: bytes, version: int, rank: int) -> tuple:
+    """Read a container's leading ``fmt`` fields: its magic, its version, and its
+    spatial rank at index ``rank``; :class:`FormatError` unless they are
+    ``magic``, ``version`` and 1..3."""
+    fields = struct.unpack(fmt, read_exact(fh, struct.calcsize(fmt), "header"))
+    if fields[0] != magic:
+        raise FormatError(f"bad magic {fields[0]!r}")
+    if fields[1] != version:
+        raise FormatError(f"unsupported version {fields[1]}")
+    if not 1 <= fields[rank] <= MAX_SPATIAL_RANK:
+        raise FormatError(f"unsupported spatial rank {fields[rank]}")
+    return fields
+
+
 def check_payload(fh: BinaryIO, n: int, what: str) -> None:
     """Raise :class:`FormatError` unless exactly ``n`` bytes follow the header.
 
@@ -684,8 +694,7 @@ class _FrameFile(abc.Sequence):
             if not n:
                 raise FormatError(f"truncated file while reading frame {t}")
             done += n
-        if not np.isfinite(out).all():
-            raise FormatError(f"frame {t} holds NaN or Inf")
+        _check_frame(t, out)
 
     def check_all(self) -> None:
         """Read and check every frame, one at a time, in slot 0."""
@@ -720,6 +729,22 @@ class _FrameFile(abc.Sequence):
                 self._walking = False
 
 
+def _check_frame(t: int, a: np.ndarray) -> None:
+    """Refuse frame t unless every value of ``a`` is finite."""
+    if not np.isfinite(a).all():
+        raise FormatError(f"frame {t} holds NaN or Inf")
+
+
+def _parse_meta(text: str) -> dict[str, str]:
+    """The ``key=value`` lines of a container's meta text, as a dict."""
+    meta = {}
+    for line in text.splitlines():
+        if line:
+            k, _, v = line.partition("=")
+            meta[k] = v
+    return meta
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
@@ -735,26 +760,59 @@ def write_dataset(path, ds: Dataset) -> None:
 def _write_container(path, kind: str, grid: Shape, pde: GridPde, seed: int,
                      meta: Mapping[str, str], n_steps: int,
                      frames: Iterable[BatchTensor]) -> None:
-    """Write the header and then each of the ``n_steps + 1`` frames as drawn."""
+    """Write the header and then each of the ``n_steps + 1`` frames as drawn.
+
+    Raises :class:`FormatError` for what :func:`read_dataset` would refuse or
+    read back changed: reserved or unreadable meta and header values that do
+    not fit their fields before the file is made, a frame holding NaN or Inf
+    as it is written.
+    """
     d = grid.ndim
     c = pde.c if pde.c is not None else (0.0,) * d
     if len(c) != d:
         raise FormatError(f"c has {len(c)} components for a rank-{d} grid")
-    meta = dict(meta)
-    meta["boundary"] = pde.boundary
-    if pde.c is None:
-        meta["c"] = "unset"
-    meta_bytes = "\n".join(f"{k}={v}" for k, v in sorted(meta.items())).encode("utf-8")
+    reserved = sorted({"boundary", "c"} & meta.keys())
+    if reserved:
+        raise FormatError(f"meta: {reserved} are reserved keys")
+    meta = {**meta, "boundary": pde.boundary, **({"c": "unset"} if pde.c is None else {})}
+    meta_text = "\n".join(f"{k}={v}" for k, v in sorted(meta.items()))
+    if _parse_meta(meta_text) != meta:
+        raise FormatError(f"meta: {meta!r} does not read back as written")
+    try:
+        meta_bytes = meta_text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"meta is not UTF-8: {exc}") from exc
+    header = _packed([
+        ("magic", "4s", DATASET_MAGIC), ("version", "I", DATASET_VERSION),
+        ("kind", "B", _KIND_CODES[kind]), ("rank", "B", d), ("reserved", "H", 0),
+        ("batch", "I", grid.batch),
+        *((f"extents[{i}]", "I", n) for i, n in enumerate(grid.spatial)),
+        ("channels", "I", grid.channels), ("n_steps", "I", n_steps),
+        ("dt", "d", pde.dt), ("dx", "d", pde.dx), *((f"c[{i}]", "d", v) for i, v in enumerate(c)),
+        ("nu", "d", pde.nu), ("alpha", "d", pde.alpha), ("seed", "Q", seed),
+        ("meta length", "I", len(meta_bytes)),
+    ])
     with replacing_file(path) as fh:
-        fh.write(struct.pack("<4sIBBH", DATASET_MAGIC, DATASET_VERSION, _KIND_CODES[kind], d, 0))
-        fh.write(struct.pack(f"<{d + 3}I", grid.batch, *grid.spatial, grid.channels, n_steps))
-        fh.write(struct.pack(f"<2d{d}d2dQ", pde.dt, pde.dx, *c, pde.nu, pde.alpha, seed))
-        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(header)
         fh.write(meta_bytes)
-        for frame in frames:
+        for t, frame in enumerate(frames):
+            _check_frame(t, frame.data)
             # little-endian as declared, and no copy on a little-endian host
             fh.write(frame.data.astype("<f8", copy=False))
             del frame  # before the next one is drawn
+
+
+def _packed(fields: Iterable[tuple[str, str, object]]) -> bytes:
+    """``(name, struct code, value)`` header fields, packed little-endian;
+    :class:`FormatError`, naming the field, for a value its code cannot hold."""
+    out = bytearray()
+    for name, code, value in fields:
+        try:
+            out += struct.pack("<" + code, value)
+        except struct.error as exc:
+            raise FormatError(f"{name}: {value!r} does not fit the header's "
+                              f"{code!r} field ({exc})") from exc
+    return bytes(out)
 
 
 def read_dataset(path) -> Dataset:
@@ -769,17 +827,9 @@ def read_dataset(path) -> Dataset:
     """
     fh = open(path, "rb")
     try:
-        magic, version, kind_code, d, _ = struct.unpack(
-            "<4sIBBH", read_exact(fh, 12, "header")
-        )
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"bad magic {magic!r}")
-        if version != DATASET_VERSION:
-            raise FormatError(f"unsupported version {version}")
+        _, _, kind_code, d, _ = read_header(fh, "<4sIBBH", DATASET_MAGIC, DATASET_VERSION, 3)
         if kind_code not in _KIND_NAMES:
             raise FormatError(f"unknown dataset kind code {kind_code}")
-        if not 1 <= d <= 3:
-            raise FormatError(f"unsupported spatial rank {d}")
         counts = struct.unpack(f"<{d + 3}I", read_exact(fh, 4 * (d + 3), "extents"))
         batch, spatial, channels, n_steps = counts[0], counts[1:-2], counts[-2], counts[-1]
         scalars = struct.unpack(
@@ -793,11 +843,7 @@ def read_dataset(path) -> Dataset:
             meta_text = read_exact(fh, meta_len, "meta").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"meta is not UTF-8: {exc}") from exc
-        meta = {}
-        for line in meta_text.splitlines():
-            if line:
-                k, _, v = line.partition("=")
-                meta[k] = v
+        meta = _parse_meta(meta_text)
         boundary = meta.pop("boundary", "periodic")
         c_opt: tuple[float, ...] | None = c
         if meta.pop("c", None) == "unset":
@@ -805,7 +851,7 @@ def read_dataset(path) -> Dataset:
         try:
             grid = Shape(batch, spatial, channels)
             pde = GridPde(dx=dx, dt=dt, c=c_opt, nu=nu, alpha=alpha, boundary=boundary)
-        except Exception as exc:
+        except WindecError as exc:
             raise FormatError(f"invalid header values: {exc}") from exc
         check_payload(fh, (n_steps + 1) * grid.count * 8, "frames")
         frames = _FrameFile(fh, grid, n_steps + 1)

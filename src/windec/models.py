@@ -52,10 +52,12 @@ from .errors import (
     ShapeMismatchError,
     SingularSystem,
     StabilityError,
+    WindecError,
     WindowTooLarge,
     WindowTooSmall,
 )
-from .generators import Dataset, GridPde, check_payload, read_exact, replacing_file
+from .generators import (Dataset, GridPde, check_payload, read_exact, read_header,
+                         replacing_file)
 from .sizing import courant
 from .tensor import BatchTensor
 from .windowing import WindowSpec, window_view
@@ -227,7 +229,8 @@ class LearnedStencil:
 
     Features are the window cells flattened row-major with channels fastest,
     matching the buffer layout of :class:`BatchTensor`; ``weights`` has shape
-    (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,), both held as float64.
+    (prod(W_i)*N_c, N_c) and ``bias`` shape (N_c,), both held as float64 and
+    finite, and ``ridge_lambda``, the fit's ridge, is finite and non-negative.
     On a window view's tile :meth:`predict_windows` takes one matmul per
     outer in-window offset (k_1..k_{d-2}) over a copy of the tile's runs of
     slab cells, one run per block of ``BAND`` windows and grid row, with
@@ -256,6 +259,7 @@ class LearnedStencil:
             )
         if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.bias)):
             raise DomainError("stencil weights must be finite")
+        _check_lambda(self.ridge_lambda)
         object.__setattr__(self, "_band", _stacked_bands(self.weights, self.window.sizes, nc))
 
     @property
@@ -379,14 +383,20 @@ class GlobalLinearModel:
         return BatchTensor(out.reshape(frame.dims))
 
 
+def _check_lambda(lam: float) -> None:
+    """Refuse a ridge that is negative or not finite."""
+    if not 0 <= lam < math.inf:  # NaN fails this test too
+        raise DomainError(f"ridge_lambda must be finite and non-negative, got {lam}")
+
+
 def _check_ridge(n: int, p: int, lam: float) -> None:
-    """Refuse a negative ridge, and no ridge with n <= p samples for p features.
+    """Refuse a ridge :func:`_check_lambda` refuses, and no ridge with n <= p
+    samples for p features.
 
     Centering leaves rank at most n - 1, so lam == 0 with n <= p is always
     singular.
     """
-    if lam < 0:
-        raise DomainError("ridge_lambda must be non-negative")
+    _check_lambda(lam)
     if lam == 0 and n <= p:
         raise SingularSystem(
             f"{n} samples for {p} features leave the normal equations singular "
@@ -394,6 +404,10 @@ def _check_ridge(n: int, p: int, lam: float) -> None:
         )
 
 
+# The fits' products (here, in _solve_ridge and in _centered_products) run
+# with float64 overflow unreported: products that overflowed leave a residual
+# that is not finite, which _solve_normal refuses.
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_normal(a: np.ndarray, b: np.ndarray, lam: float, invert: bool = False) -> np.ndarray:
     """Solution w of (a + lam I) w = b, by one solve and one refinement pass.
 
@@ -401,8 +415,8 @@ def _solve_normal(a: np.ndarray, b: np.ndarray, lam: float, invert: bool = False
     exists beside its factors.  Solves by LU (``np.linalg.solve``) or, with
     ``invert``, by one inverse applied by GEMM, for both the solve and the
     refinement.  Raises SingularSystem when the factorization fails or the
-    relative residual ||(a + lam I) w - b|| / ||b|| is above 1e-8 or not
-    finite, as it is when the products overflowed.
+    relative residual ||(a + lam I) w - b|| / ||b|| is above 1e-8, and when
+    it is not finite, as it is when the products overflowed float64.
     """
     a.reshape(-1)[::a.shape[0] + 1] += lam  # the diagonal, in place
     try:
@@ -413,11 +427,14 @@ def _solve_normal(a: np.ndarray, b: np.ndarray, lam: float, invert: bool = False
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("normal equations are singular; increase ridge_lambda") from exc
     resid = float(np.linalg.norm(a @ w - b)) / (float(np.linalg.norm(b)) or 1.0)
-    if not resid <= 1e-8:  # NaN fails this test too
+    if not math.isfinite(resid):
+        raise SingularSystem(f"normal-equation residual {resid}: the products overflowed float64")
+    if resid > 1e-8:
         raise SingularSystem(f"normal-equation residual {resid:.3g} > 1e-8; increase ridge_lambda")
     return w
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_ridge(
     x: np.ndarray, y: np.ndarray, lam: float
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
@@ -567,6 +584,7 @@ def sample_training_pairs(
     return x, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _centered_products(
     blocks: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]], p: int, nc: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -851,27 +869,16 @@ def write_stencil(path, st: LearnedStencil) -> None:
 
 def read_stencil(path) -> LearnedStencil:
     with open(path, "rb") as fh:
-        magic, version, d = struct.unpack("<4sIB", read_exact(fh, 9, "header"))
-        if magic != STENCIL_MAGIC:
-            raise FormatError(f"bad magic {magic!r}")
-        if version != STENCIL_VERSION:
-            raise FormatError(f"unsupported version {version}")
-        if not 1 <= d <= 3:
-            raise FormatError(f"unsupported spatial rank {d}")
+        _, _, d = read_header(fh, "<4sIB", STENCIL_MAGIC, STENCIL_VERSION, 2)
         sizes = struct.unpack(f"<{d}I", read_exact(fh, 4 * d, "window sizes"))
         nc, lam = struct.unpack("<Id", read_exact(fh, 12, "channels/lambda"))
-        if nc < 1:
-            raise FormatError("channel count must be positive")
-        try:
-            window = WindowSpec(sizes)
-        except Exception as exc:
-            raise FormatError(f"invalid window sizes {sizes}: {exc}") from exc
-        n_features = window.cells * nc
+        n_features = math.prod(sizes) * nc
         check_payload(fh, 8 * n_features * nc + 8 * nc, "weights and biases")
         raw_w = read_exact(fh, 8 * n_features * nc, "weights")
         raw_b = read_exact(fh, 8 * nc, "biases")
         weights = np.frombuffer(raw_w, dtype="<f8").reshape(nc, n_features).T.copy()
         bias = np.frombuffer(raw_b, dtype="<f8").copy()
-        if not (math.isfinite(lam) and np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise FormatError("stencil lambda, weights or biases hold NaN or Inf")
-    return LearnedStencil(window, weights, bias, lam)
+    try:
+        return LearnedStencil(WindowSpec(sizes), weights, bias, lam)
+    except WindecError as exc:
+        raise FormatError(f"invalid stencil: {exc}") from exc

@@ -348,10 +348,12 @@ def test_eval_global_baseline_runs(tmp_path):
 # --- sweep -------------------------------------------------------------------
 
 
-def test_sweep_emits_unique_grid(tmp_path):
+# the largest seed: each frequency's seed, 1000 more than the last, wraps at 2**64
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_sweep_emits_unique_grid(tmp_path, seed):
     cfg = write_config(tmp_path, {
         "dataset": {"extents": [128], "dx": 1 / 16, "c": [1 / 16], "batch": 2,
-                    "n_steps": 4,
+                    "n_steps": 4, "seed": seed,
                     "ic": {"kind": "harmonics", "bandwidth": 1.0,
                            "envelope_sigma": 2.0}},
         "window": "auto",
@@ -757,7 +759,10 @@ _SWEEP = ["sweep", "--windows", "3,5", "--freqs", "1,2"]
     (_SWEEP, {"kind": "heat", "c": None, "alpha": 0.1}, "dataset.kind"),
     (["eval"], {"n_steps": 0}, "dataset.n_steps"),
     (_SWEEP, {"n_steps": 0}, "dataset.n_steps"),
-], ids=["sweep-heat", "eval-one-frame", "sweep-one-frame"])
+    # a .ddld file holds the seed in 64 bits
+    (["gen"], {"seed": 2**64}, "dataset.seed"),
+    (["eval"], {"seed": 2**64}, "dataset.seed"),
+], ids=["sweep-heat", "eval-one-frame", "sweep-one-frame", "gen-seed", "eval-seed"])
 def test_commands_refuse_a_config_before_generating(tmp_path, capsys, monkeypatch, argv,
                                                      dataset, field):
     def generate(*args):
@@ -785,15 +790,17 @@ def test_eval_data_refuses_a_one_frame_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["stencil", "global"])
 def test_eval_data_refuses_a_fit_whose_products_overflow(tmp_path, capsys, kind):
-    # values near 1e200 overflow the normal equations: a NaN residual is refused
+    # values near 1e200 overflow the normal equations: a NaN residual is
+    # refused in one line, and no RuntimeWarning escapes (the suite makes
+    # one an error)
     rng = np.random.default_rng(30)
     frames = [BatchTensor(1e200 * rng.standard_normal((2, 8, 8, 1))) for _ in range(5)]
     data = tmp_path / "big.ddld"
     write_dataset(data, Dataset("external", frames, GridPde(dx=1.0, dt=1.0), seed=0))
     cfg = write_config(tmp_path, {"predictor": {"kind": kind, "sample_budget": 64}})
-    with np.errstate(all="ignore"):
-        assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 2
-    assert "error: normal-equation residual nan > 1e-8" in capsys.readouterr().err
+    assert main(["eval", "--config", str(cfg), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: normal-equation residual nan: the products overflowed float64\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -829,9 +836,10 @@ def _parse_with(path: str, value):
     (functools.partial(_parse_with, "dataset", [1, 2]), "dataset"),
     (functools.partial(_parse_with, "window", 5), "window"),
     (functools.partial(_parse_with, "split_fraction", 1.0), "split_fraction"),
+    (functools.partial(_parse_with, "dataset.seed", 2**64), "dataset.seed"),
 ], ids=["missing", "not-a-number", "number-list", "width-range", "center-margin",
         "empty-extents", "speeds", "predictor-kind", "top-level", "dataset-object", "window",
-        "split"])
+        "split", "seed"])
 def test_config_refuses_what_it_cannot_parse(call, field):
     with pytest.raises(ConfigError) as info:
         call()

@@ -1,7 +1,10 @@
+import dataclasses
 import errno
 import os
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from windec import (
     LearnedStencil,
     RankError,
     Shape,
+    WindecError,
     WindowSpec,
     fit_global_linear,
     fit_stencil,
@@ -314,6 +318,37 @@ def test_non_finite_dataset_values_rejected(tmp_path, offset, value):
         read_dataset(path)
 
 
+# what read_dataset would refuse or read back changed is refused as it is
+# written, and the file at the path is left as it was
+@pytest.mark.parametrize("change, field", [
+    (dict(seed=-1), "seed: "),
+    (dict(seed=2**64), "seed: "),
+    (dict(meta={"boundary": "insulated"}), "meta: "),
+    (dict(meta={"c": "unset"}), "meta: "),
+    (dict(meta={"a=b": "x"}), "meta: "),
+    (dict(meta={"note": "two\nlines"}), "meta: "),
+    (dict(meta={"note": "\u2028"}), "meta: "),
+    (dict(meta={"note": "\ud800"}), "meta is not UTF-8"),
+    (dict(frames=(BatchTensor(np.zeros((1, 2, 3, 1))),
+                  BatchTensor(np.full((1, 2, 3, 1), np.nan)))), "frame 1 holds NaN"),
+], ids=["seed-negative", "seed-too-large", "meta-boundary", "meta-c", "meta-key-equals",
+        "meta-newline", "meta-line-separator", "meta-surrogate", "frame-nan"])
+def test_write_dataset_refuses_what_it_cannot_read_back(tmp_path, change, field):
+    path = tmp_path / "ds.ddld"
+    write_dataset(path, small_dataset())
+    raw = path.read_bytes()
+    with pytest.raises(FormatError, match=f"^{field}"):
+        write_dataset(path, dataclasses.replace(small_dataset(), **change))
+    assert path.read_bytes() == raw
+    assert os.listdir(tmp_path) == ["ds.ddld"]
+
+
+def test_write_dataset_keeps_the_largest_seed(tmp_path):
+    ds = dataclasses.replace(small_dataset(), seed=2**64 - 1)
+    write_dataset(tmp_path / "ds.ddld", ds)
+    assert read_dataset(tmp_path / "ds.ddld").equals(ds)
+
+
 # --- stencil container ----------------------------------------------------------
 
 
@@ -407,6 +442,86 @@ def test_non_finite_stencil_values_rejected(tmp_path, offset, value):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_stencil(path)
+
+
+def test_stencil_with_a_negative_lambda_rejected(tmp_path):
+    path = tmp_path / "st.ddst"
+    write_stencil(path, small_stencil())
+    raw = bytearray(path.read_bytes())
+    raw[21:29] = struct.pack("<d", -1.0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="ridge_lambda"):
+        read_stencil(path)
+
+
+# a failure that is not a WindecError is a bug, not a corrupt file
+@pytest.mark.parametrize("module, name, write, read, build", [
+    ("windec.generators", "GridPde", write_dataset, read_dataset, small_dataset),
+    ("windec.models", "LearnedStencil", write_stencil, read_stencil, small_stencil),
+], ids=["ddld", "ddst"])
+def test_readers_report_a_bug_as_itself(tmp_path, monkeypatch, module, name, write, read,
+                                        build):
+    path = tmp_path / "file"
+    write(path, build())
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug")
+    monkeypatch.setattr(f"{module}.{name}", broken)
+    with pytest.raises(ZeroDivisionError):
+        read(path)
+
+
+# --- round trips of what the writers are given -----------------------------------
+
+# characters that split a meta line or a key, that UTF-8 cannot encode, and plain ones
+_META_TEXT = st.text(["a", "b", "=", "\n", "\x85", "\u2028", "\ud800"], max_size=3)
+
+
+@settings(max_examples=150)
+@given(seed=st.sampled_from([0, 2**64 - 1, -1, 2**64]) | st.integers(0, 2**64 - 1),
+       meta=st.dictionaries(st.sampled_from(["boundary", "c"]) | _META_TEXT, _META_TEXT,
+                            max_size=3),
+       has_c=st.booleans(), boundary=st.sampled_from(["periodic", "insulated"]),
+       nan_at=st.none() | st.integers(0, 11))
+def test_dataset_writer_refuses_or_round_trips(seed, meta, has_c, boundary, nan_at):
+    values = np.arange(12, dtype=np.float64)
+    if nan_at is not None:
+        values[nan_at] = np.nan
+    frames = [BatchTensor(v.reshape(1, 2, 3, 1)) for v in np.split(values, 2)]
+    pde = GridPde(dx=0.25, dt=0.5, c=(1.0, -2.0) if has_c else None, boundary=boundary)
+    ds = Dataset("external", frames, pde, seed, meta)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ds.ddld"
+        try:
+            write_dataset(path, ds)
+        except WindecError:
+            assert os.listdir(directory) == []
+            return
+        assert read_dataset(path).equals(ds)
+
+
+@settings(max_examples=60)
+@given(lam=st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0]) | st.floats(),
+       sizes=st.lists(st.sampled_from([3, 5]), min_size=1, max_size=3),
+       channels=st.integers(1, 2))
+def test_stencil_writer_refuses_or_round_trips(lam, sizes, channels):
+    window = WindowSpec(sizes)
+    rng = np.random.default_rng(len(sizes))
+    weights = rng.standard_normal((window.cells * channels, channels))
+    bias = rng.standard_normal(channels)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "st.ddst"
+        try:
+            stencil = LearnedStencil(window, weights, bias, lam)
+            write_stencil(path, stencil)
+        except WindecError:
+            assert os.listdir(directory) == []
+            return
+        back = read_stencil(path)
+    assert back.window.sizes == stencil.window.sizes
+    assert back.ridge_lambda == stencil.ridge_lambda
+    assert np.array_equal(back.weights, stencil.weights)
+    assert np.array_equal(back.bias, stencil.bias)
 
 
 # --- fuzzing both containers ----------------------------------------------------

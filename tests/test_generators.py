@@ -152,13 +152,6 @@ def test_advect_conserves_total_mass():
     assert abs(math.fsum(moved.data.ravel()) - math.fsum(u0.data.ravel())) <= 1e-10
 
 
-def test_advect_requires_periodic():
-    u0 = BatchTensor(np.zeros((1, 8, 8, 1)))
-    pde = GridPde(dx=0.1, dt=1.0, c=(1.0, 0.0), boundary="insulated")
-    with pytest.raises(UnsupportedBoundary):
-        advect_exact(u0, pde, 1.0)
-
-
 # --- burgers_step ---------------------------------------------------------------
 
 
@@ -185,17 +178,6 @@ def test_burgers_kinetic_energy_non_increasing():
         new_energy = float(np.sum(u.data**2))
         assert new_energy <= energy + 1e-12
         energy = new_energy
-
-
-def test_burgers_validates_input():
-    pde = GridPde(dx=0.1, dt=0.1, nu=0.01)
-    with pytest.raises(DomainError):
-        burgers_step(BatchTensor(np.zeros((1, 8, 8, 1))), pde)
-    with pytest.raises(UnsupportedBoundary):
-        burgers_step(
-            BatchTensor(np.zeros((1, 8, 8, 2))),
-            GridPde(dx=0.1, dt=0.1, nu=0.01, boundary="insulated"),
-        )
 
 
 def test_burgers_stability_guard():
@@ -293,14 +275,6 @@ def test_heat_3d_supported():
     assert abs(math.fsum(out.data.ravel()) - math.fsum(u.data.ravel())) <= 1e-10
 
 
-def test_heat_rejects_multichannel_and_1d():
-    pde = GridPde(dx=1.0, dt=1.0, alpha=0.1)
-    with pytest.raises(DomainError):
-        heat_step(BatchTensor(np.zeros((1, 8, 8, 2))), pde)
-    with pytest.raises(Exception):
-        heat_step(BatchTensor(np.zeros((1, 8, 1))), pde)
-
-
 @pytest.mark.parametrize("step, channels, pde, bound", [
     *((heat_step, 1, GridPde(dx=1.0, dt=0.1, alpha=1.0, boundary=b), 4.0) for b in BOUNDARIES),
     (burgers_step, 2, GridPde(dx=1.0, dt=0.1, nu=0.1), 6.0),
@@ -318,6 +292,37 @@ def test_one_step_holds_no_copy_of_its_input(step, channels, pde, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * u.data.nbytes
+
+
+# --- what the steppers refuse ---------------------------------------------------
+
+
+def _zeros(*spatial, channels=1):
+    return BatchTensor(np.zeros((1, *spatial, channels)))
+
+
+_PDE = dict(dx=0.1, dt=0.1, nu=0.01, alpha=0.1)
+
+
+# each stepper refuses through check_request what its GENERATED row refuses,
+# with the error class and leading field generate_dataset gives
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: advect_exact(_zeros(8, 8), GridPde(**_PDE, c=(1.0, 0.0), boundary="insulated"),
+                          1.0), UnsupportedBoundary, "boundary: "),
+    (lambda: advect_exact(_zeros(8, 8), GridPde(**_PDE), 1.0), DomainError, "c: "),
+    (lambda: advect_exact(_zeros(8, 8), GridPde(**_PDE, c=(1.0,)), 1.0), RankError,
+     "c has 1 components"),
+    (lambda: heat_step(_zeros(8, 8, channels=2), GridPde(**_PDE)), DomainError, "channels: "),
+    (lambda: heat_step(_zeros(8), GridPde(**_PDE)), RankError, "extents: "),
+    (lambda: burgers_step(_zeros(8, 8), GridPde(**_PDE)), DomainError, "channels: "),
+    (lambda: burgers_step(_zeros(8, 8, 8, channels=2), GridPde(**_PDE)), RankError, "extents: "),
+    (lambda: burgers_step(_zeros(8, 8, channels=2), GridPde(**_PDE, boundary="insulated")),
+     UnsupportedBoundary, "boundary: "),
+], ids=["advect-boundary", "advect-no-c", "advect-c-rank", "heat-channels", "heat-rank",
+        "burgers-channels", "burgers-rank", "burgers-boundary"])
+def test_steppers_refuse_what_generation_refuses(call, error, field):
+    with pytest.raises(error, match=f"^{field}"):
+        call()
 
 
 # --- generate_dataset -----------------------------------------------------------
@@ -379,6 +384,14 @@ def test_generate_refuses_unsupported_requests_without_steps(kind, grid, pde, ic
     # no stepper runs at n_steps=0, so each is refused before any frame is built
     with pytest.raises(error):
         generate_dataset(kind, grid, pde, ic, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_generate_refuses_a_seed_a_file_cannot_hold(seed):
+    # refused before the bumps are drawn, which numpy refuses for -1 with a ValueError
+    with pytest.raises(DomainError, match="^seed: "):
+        generate_dataset("heat", Shape(1, (8, 8), 1), GridPde(dx=0.1, dt=0.1, alpha=0.1),
+                         _BUMP, 0, seed)
 
 
 _IC_VALUES = {"sine": ("freq", 1.0), "bumps": ("n_bumps", 1), "harmonics": ("bandwidth", 1.0)}

@@ -807,8 +807,8 @@ def scaled_regression(n, p):
     lambda: fit_stencil(small_dataset(1e200), WindowSpec((3, 3)), sample_budget=64),
 ], ids=["dual", "primal", "global", "held-stencil", "streamed-stencil"])
 def test_fits_refuse_a_residual_that_is_not_finite(fit):
-    with np.errstate(all="ignore"), pytest.raises(SingularSystem,
-                                                  match="normal-equation residual nan"):
+    # with no RuntimeWarning on the way: the suite makes one an error
+    with pytest.raises(SingularSystem, match="residual nan: the products overflowed float64$"):
         fit()
 
 
@@ -852,9 +852,14 @@ def test_fits_refuse_no_ridge_before_reading_a_frame(tmp_path, monkeypatch, fit)
      "sample_budget"),
     (lambda: fit_global_linear(small_dataset(), sample_budget=0), DomainError, "sample_budget"),
     (lambda: rel_l2(np.zeros(3), np.zeros(4)), ShapeMismatchError, "prediction"),
+    *((lambda lam=lam: LearnedStencil(WindowSpec((3, 3)), np.zeros((9, 1)), np.zeros(1), lam),
+       DomainError, "ridge_lambda") for lam in (np.nan, np.inf, -1.0)),
+    (lambda: fit_stencil(small_dataset(), WindowSpec((3, 3)), ridge_lambda=np.nan),
+     DomainError, "ridge_lambda"),
 ], ids=["upwind-no-c", "upwind-c-rank", "weights-shape", "weights-nan", "frame-shape",
         "stencil-one-frame", "global-one-frame", "window-rank", "window-too-large",
-        "stencil-budget", "global-budget", "metric-shapes"])
+        "stencil-budget", "global-budget", "metric-shapes", "lambda-nan", "lambda-inf",
+        "lambda-negative", "fit-lambda-nan"])
 def test_models_refuse_what_they_cannot_use(call, error, field):
     with pytest.raises(error, match=field):
         call()

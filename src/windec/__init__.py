@@ -32,7 +32,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .tensor import BatchTensor, Shape
-from .windowing import WindowSpec, integrate_predictions
+from .windowing import BOUNDARIES, WindowSpec, integrate_predictions
 from .decomposition import (
     ExpansionRecord,
     chunk_domain,
@@ -42,7 +42,6 @@ from .decomposition import (
     window_patch,
 )
 from .generators import (
-    BOUNDARIES,
     Dataset,
     GridPde,
     InitialCondition,

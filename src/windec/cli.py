@@ -217,9 +217,9 @@ def _distinct(text: str, flag: str, check) -> list:
 
 
 def _check_window_fits(w: WindowSpec, grid: Shape) -> None:
-    # prediction zero-extends each tile by the window radius, so any size
-    # would run, but a window more than twice the grid extent is almost
-    # certainly a config slip
+    # windowing._fill_slab extends each tile by the window radius however
+    # wide, so any size would run, but a window more than twice the grid
+    # extent is almost certainly a config slip
     for wi, n in zip(w.sizes, grid.spatial):
         if wi > 2 * n + 1:
             raise WindowTooLarge(f"window {wi} exceeds twice the grid extent {n}")

@@ -43,8 +43,8 @@ from .errors import (
     WindecError,
 )
 from .tensor import MAX_SPATIAL_RANK, BatchTensor, Shape
+from .windowing import BOUNDARIES, _fill_slab
 
-BOUNDARIES = ("periodic", "zero-extension", "insulated")
 DATASET_MAGIC = b"DDLD"
 DATASET_VERSION = 1
 _KIND_CODES = {"advection": 0, "burgers": 1, "heat": 2, "external": 3}
@@ -70,8 +70,6 @@ GENERATED = {
 }
 # the parameter each initial-condition kind cannot generate without
 IC_PARAMETER = {"sine": "freq", "bumps": "n_bumps", "harmonics": "bandwidth"}
-# what lies beyond the domain edge under each boundary, as an np.pad mode
-_PAD_MODES = {"periodic": "wrap", "zero-extension": "constant", "insulated": "edge"}
 
 
 @dataclass(frozen=True)
@@ -389,15 +387,14 @@ def advect_exact(u0: BatchTensor, pde: GridPde, t: float) -> BatchTensor:
     return BatchTensor(np.ascontiguousarray(out))
 
 
-def _neighbor_sum(a: np.ndarray, d: int, boundary: str) -> np.ndarray:
-    """Sum of the 2d axis neighbors of every cell of ``(N_b, N_1..N_d, N_c)`` data."""
-    padded = np.pad(a, [(0, 0), *[(1, 1)] * d, (0, 0)], mode=_PAD_MODES[boundary])
-    total = np.zeros_like(a)
+def _neighbor_sum(ring: np.ndarray, d: int) -> np.ndarray:
+    """Sum of the 2d axis neighbors of every inner cell of a ``(N_b, N_1+2 .., N_c)`` ring."""
+    inner = [slice(None), *[slice(1, -1)] * d, slice(None)]
+    total = np.zeros(ring[tuple(inner)].shape)
     for axis in range(1, d + 1):
-        lo = [slice(None), *[slice(1, -1)] * d, slice(None)]
-        hi = list(lo)
+        lo, hi = list(inner), list(inner)
         lo[axis], hi[axis] = slice(0, -2), slice(2, None)
-        total += padded[tuple(lo)] + padded[tuple(hi)]
+        total += ring[tuple(lo)] + ring[tuple(hi)]
     return total
 
 
@@ -424,8 +421,11 @@ def heat_step(field_t: BatchTensor, pde: GridPde) -> BatchTensor:
     n_sub = _substeps(total, 1.0 / (2 * d))
     lam = total / n_sub
     a = field_t.data
+    # the frame plus one cell beyond each face, as the boundary extends it
+    ring = np.empty((field_t.batch, *(n + 2 for n in field_t.spatial), field_t.channels))
     for _ in range(n_sub):
-        a = a + lam * (_neighbor_sum(a, d, pde.boundary) - 2 * d * a)
+        _fill_slab(ring, a, (0, *(-1,) * d), pde.boundary)
+        a = a + lam * (_neighbor_sum(ring, d) - 2 * d * a)
     return BatchTensor(np.ascontiguousarray(a))
 
 

@@ -2,17 +2,16 @@
 
 Prediction takes slab -> window view -> predict -> write or score centers:
 the cells are cut into tiles, each tile's cells plus a halo of the window
-radius are filled into a slab buffer with zeros outside the grid
-(``_fill_slab``), one read-only strided view of the slab holds the window of
-every cell of the tile (``window_view``), and it goes to the predictor's
-``predict_windows``.  ``_predicted_tiles`` yields the centers it returns
-tile by tile; ``integrate_predictions`` writes them into an output frame,
-and the CLI's evaluation scores each against the truth under it before the
-next tile is predicted, so it holds no predicted frame.  No window is copied
-on the way, and no zero-padded copy of the whole grid is made.  The window
-of a cell is the W-box around it of the grid zero-extended by the radius
-(W - 1) / 2; :mod:`windec.decomposition` defines the same windows by
-expanding, chunking and patching the grid.
+radius are filled into a slab buffer (``_fill_slab``), one read-only strided
+view of the slab holds the window of every cell of the tile
+(``window_view``), and it goes to the predictor's ``predict_windows``.
+``_predicted_tiles`` yields the centers it returns tile by tile;
+``integrate_predictions`` writes them into an output frame, and the CLI's
+evaluation scores each against the truth under it before the next tile is
+predicted, so it holds no predicted frame.  No window and no padded copy of
+the whole grid is made.  The window of a cell is the W-box around it of the
+grid zero-extended by the radius (W - 1) / 2; :mod:`windec.decomposition`
+defines the same windows by expanding, chunking and patching the grid.
 """
 from __future__ import annotations
 
@@ -101,23 +100,35 @@ def _tiles(extents: Sequence[int], max_cells: int) -> Iterator[tuple]:
             yield (*outer, slice(lo, lo + step))
 
 
-def _fill_slab(slab: np.ndarray, grid: np.ndarray, corner: Sequence[int]) -> None:
-    """Fill ``slab`` with the cells of ``grid`` under it, zero-extended.
+# per boundary, the grid index that index i of an n-cell axis reads: periodic
+# wraps, insulated mirrors about the face, zero-extension reads zeros instead
+_FOLDS = {"periodic": operator.mod, "zero-extension": None,
+          "insulated": lambda i, n: np.minimum(i % (2 * n), (-1 - i) % (2 * n))}
+BOUNDARIES = tuple(_FOLDS)
+
+
+def _fill_slab(slab: np.ndarray, grid: np.ndarray, corner: Sequence[int], boundary: str) -> None:
+    """Fill ``slab`` with the cells of ``grid`` under it, extended by ``boundary``.
 
     ``slab[0, .., 0]`` lies at grid index ``corner`` (one entry per axis but
     the channels, negative inside the halo before the grid).  Every fill
-    copies the cells in the grid and zeroes each non-empty face outside it,
-    so it depends on nothing an earlier fill left; this is the one place on
-    the prediction path that knows what lies outside the grid.
+    writes every cell of the slab, however wide its halo, so it depends on
+    nothing an earlier fill left.  This is the one place, for prediction and
+    heat generation alike, that knows what lies outside the grid.
     """
+    fold = _FOLDS[boundary]
+    if fold is not None:
+        # the grid index each slab cell reads, as one open-mesh table per axis
+        mesh = np.ix_(*(fold(np.arange(c, c + m), n)
+                        for c, m, n in zip(corner, slab.shape, grid.shape)))
     box, cells = [], []
     for i, (c, m, n) in enumerate(zip(corner, slab.shape, grid.shape)):
         lo, hi = max(0, -c), min(m, n - c)
         before = (slice(None),) * i
-        if lo:
-            slab[(*before, slice(0, lo))] = 0.0
-        if hi < m:
-            slab[(*before, slice(hi, None))] = 0.0
+        for face in (slice(0, lo), slice(hi, m)):
+            if face.start < face.stop:
+                slab[(*before, face)] = 0.0 if fold is None else grid[
+                    (*mesh[:i], mesh[i][(*before, face)], *mesh[i + 1:])]
         box.append(slice(lo, hi))
         cells.append(slice(c + lo, c + hi))
     slab[tuple(box)] = grid[tuple(cells)]
@@ -157,7 +168,7 @@ def _predicted_tiles(t: BatchTensor, w: WindowSpec,
             slabs[m] = slab, window_view(slab, w.sizes)[(0,) * k]
         slab, windows = slabs[m]
         corner = (*map(operator.sub, outer, halo), lo - halo[k], *(-h for h in halo[k + 1:]))
-        _fill_slab(slab, grid, corner)
+        _fill_slab(slab, grid, corner, "zero-extension")
         got = np.asarray(predictor.predict_windows(windows))
         expected = grid[tile].shape
         if got.shape != expected:

@@ -83,6 +83,29 @@ def diffusion_full(data, lam):
     return data + lam * (nbsum - 2 * d * data)
 
 
+def heat_padded(data, lam, n_sub, boundary):
+    """``n_sub`` explicit diffusion sub-steps of diffusion number ``lam``.
+
+    Each sub-step pads the whole (B, N_1..N_d, 1) array by one cell with
+    ``np.pad`` (``wrap`` for periodic, ``constant`` for zero-extension,
+    ``edge`` for insulated, which at one cell is the mirror about the face)
+    and sums the 2d axis neighbours from shifted slices of the padded copy.
+    """
+    mode = {"periodic": "wrap", "zero-extension": "constant", "insulated": "edge"}[boundary]
+    d = data.ndim - 2
+    a = data
+    for _ in range(n_sub):
+        padded = np.pad(a, [(0, 0), *[(1, 1)] * d, (0, 0)], mode=mode)
+        total = np.zeros_like(a)
+        for axis in range(1, d + 1):
+            lo = [slice(None), *[slice(1, -1)] * d, slice(None)]
+            hi = list(lo)
+            lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+            total += padded[tuple(lo)] + padded[tuple(hi)]
+        a = a + lam * (total - 2 * d * a)
+    return a
+
+
 def burgers_loop(data, dx, dt, nu, n_sub):
     """``n_sub`` Burgers sub-steps of ``dt / n_sub``, one velocity component at a time.
 

@@ -1,14 +1,18 @@
 """The declared dependencies and Python floor in pyproject.toml hold.
 
-Every third-party module the tests import is declared, no source file uses
-syntax newer than ``requires-python``, every strided view the library takes
-is read-only, every error the library raises is a ``WindecError`` subclass,
-and only the command line and the package import the window decomposition
-that the acceptance gate checks.
+Every third-party module the tests import is declared, a failing property
+test reports its example under the suite's warning filters, no source file
+uses syntax newer than ``requires-python``, every strided view the library
+takes is read-only, every error the library raises is a ``WindecError``
+subclass, only the command line and the package import the window
+decomposition that the acceptance gate checks, and what lies beyond the grid
+edge has one owner: ``windowing`` imports none of the modules above it, and
+only the decomposition pads with ``np.pad``.
 """
 
 import ast
 import re
+import subprocess
 import sys
 from importlib.metadata import packages_distributions
 from pathlib import Path
@@ -52,6 +56,23 @@ def test_test_imports_are_declared_dependencies():
         if not any(_normalize(d) in declared for d in distributions.get(module, [module]))
     )
     assert not missing, f"imported under tests/ but not in pyproject.toml: {missing}"
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # hypothesis imports libcst to print a falsifying example; under the
+    # suite's warning filters that import must not end the session
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n\n"
+        "def test_after():\n    pass\n", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out and "1 failed, 1 passed" in out, out
+    assert "INTERNALERROR" not in out, out
 
 
 def _parenthesised(source: str, node: ast.Tuple) -> bool:
@@ -202,3 +223,26 @@ def test_windowing_keeps_no_alias_of_the_decomposition():
              "receptive_field_probe")
     assert all(hasattr(decomposition, name) for name in moved)
     assert [name for name in moved if hasattr(windowing, name)] == []
+
+
+def _np_pad_calls(source: str) -> list[int]:
+    """Lines calling ``np.pad`` or ``numpy.pad``, or importing ``pad`` from numpy."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "pad"
+                  and getattr(node.func.value, "id", None) in ("np", "numpy")
+                  or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and any(a.name == "pad" for a in node.names))
+
+
+def test_one_module_decides_what_lies_beyond_the_grid_edge():
+    # windowing._fill_slab extends the grid for the heat generator and for
+    # prediction alike; the decomposition's zero pads are the acceptance
+    # gate's reference, not a second boundary rule
+    windowing = (ROOT / "src" / "windec" / "windowing.py").read_text(encoding="utf-8")
+    assert not _windec_modules_imported(windowing) & {"generators", "models", "cli"}
+    assert _np_pad_calls("np.pad(a, 1)\nnumpy.pad(a, w, mode='wrap')\nfrom numpy import pad\n"
+                         "x.pad(a)\nnp.padded(a)\npad(a)") == [1, 2, 3]
+    padders = {p.stem for p in sorted((ROOT / "src" / "windec").glob("*.py"))
+               if _np_pad_calls(p.read_text(encoding="utf-8"))}
+    assert padders == {"decomposition"}

@@ -28,7 +28,7 @@ from windec import (
 )
 from windec.config import DatasetConfig
 
-from oracles import burgers_loop, impulse
+from oracles import burgers_loop, heat_padded, impulse
 
 
 # --- sin_field ----------------------------------------------------------------
@@ -265,6 +265,18 @@ def test_heat_point_source_spreads_at_kernel_width():
         mean = float((x * marginal).sum() / marginal.sum())
         width = math.sqrt(float(((x - mean) ** 2 * marginal).sum() / marginal.sum()))
         assert abs(width - expected) / expected <= 0.05
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("n_sub", [1, 3])
+@pytest.mark.parametrize("shape", [(2, 9, 7, 1), (2, 1, 6, 1), (1, 5, 4, 6, 1), (2, 1, 3, 1, 1)])
+def test_heat_step_matches_the_padded_reference(shape, n_sub, boundary):
+    # alpha*dt/dx^2 just under n_sub times the sub-step limit 1/(2d)
+    d = len(shape) - 2
+    total = 0.9 * n_sub / (2 * d)
+    data = np.random.default_rng(n_sub).uniform(-1.0, 1.0, shape)
+    out = heat_step(BatchTensor(data), GridPde(dx=1.0, dt=total, alpha=1.0, boundary=boundary))
+    assert np.array_equal(out.data, heat_padded(data, total / n_sub, n_sub, boundary))
 
 
 def test_heat_3d_supported():

@@ -30,7 +30,7 @@ from windec import (
 )
 from windec import models, windowing
 from windec.decomposition import apply_dense_stencil
-from windec.windowing import window_view
+from windec.windowing import BOUNDARIES, window_view
 from oracles import (
     brute_offsets,
     chunk_batch_index,
@@ -462,24 +462,34 @@ def test_integrate_copies_centers_a_predictor_returns_as_views_of_its_windows(mo
     assert integrate_predictions(t, w, CenterView()).equals(t)
 
 
+# the np.pad mode that extends a grid as each boundary does
+_PAD_MODES = {"periodic": "wrap", "insulated": "symmetric", "zero-extension": "constant"}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
 @pytest.mark.parametrize("extents, halo, slab_extents", [
     ((7,), (2,), (5,)),
     ((5, 6), (1, 2), (4, 7)),
     ((3, 4, 5), (1, 1, 2), (3, 4, 6)),
+    # halos wider than the extent
+    ((1,), (3,), (4,)),
+    ((2, 3), (5, 7), (6, 9)),
+    ((1, 2, 3), (3, 2, 4), (4, 5, 6)),
 ])
-def test_fill_slab_writes_every_cell_whatever_the_slab_held(extents, halo, slab_extents):
+def test_fill_slab_writes_every_cell_whatever_the_slab_held(extents, halo, slab_extents,
+                                                            boundary):
     # one slab, NaN at first, filled at every corner in a shuffled order: each
-    # fill equals the box of the zero-padded grid under it, so no fill depends
-    # on what an earlier one left
+    # fill equals the box of the grid padded by np.pad under it, so no fill
+    # depends on what an earlier one left
     rng = np.random.default_rng(34)
     grid = rng.standard_normal((2, *extents, 2))
-    padded = np.pad(grid, [(0, 0), *((h, h) for h in halo), (0, 0)])
+    padded = np.pad(grid, [(0, 0), *((h, h) for h in halo), (0, 0)], mode=_PAD_MODES[boundary])
     slab = np.full((1, *slab_extents, 2), np.nan)
     corners = list(itertools.product(range(2), *(
         range(-h, n + h - m + 1) for n, h, m in zip(extents, halo, slab_extents))))
     for i in rng.permutation(len(corners)):
         b, *corner = corners[i]
-        assert windowing._fill_slab(slab, grid, (b, *corner)) is None
+        assert windowing._fill_slab(slab, grid, (b, *corner), boundary) is None
         box = tuple(slice(c + h, c + h + m) for c, h, m in zip(corner, halo, slab_extents))
         assert np.array_equal(slab, padded[(slice(b, b + 1), *box)])
 
